@@ -3,6 +3,12 @@
 Each workload is executed ``executions`` times (fresh machine per
 execution, caches cold — §5.2 flushes caches between executions) and
 results are averaged per execution, exactly as the paper reports.
+
+The figures share runs: Fig 12 breaks down Fig 11's runs, Fig 14's
+16-processor column repeats Fig 11, and Table 3 re-runs loops the
+figures already ran.  Every run the figure layer makes therefore
+carries :data:`RESULT_STORE` as its ledger, and the driver serves each
+repeat from it instead of simulating it again.
 """
 
 from __future__ import annotations
@@ -10,11 +16,29 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional
 
+from ..obs.ledger import ResultStore
 from ..params import MachineParams, default_params
-from ..runtime.driver import RunResult, run_hw, run_ideal, run_serial, run_sw
+from ..runtime.driver import (
+    RunConfig,
+    RunResult,
+    run_hw,
+    run_ideal,
+    run_serial,
+    run_sw,
+)
 from ..sim.stats import TimeBreakdown
 from ..types import Scenario
 from ..workloads.base import Workload
+
+
+#: the figure layer's process-lifetime result store (see module doc)
+RESULT_STORE = ResultStore()
+
+
+def stored(config: Optional[RunConfig] = None) -> RunConfig:
+    """``config`` (default ``RunConfig()``) with :data:`RESULT_STORE`
+    as its ledger."""
+    return dataclasses.replace(config or RunConfig(), ledger=RESULT_STORE)
 
 
 @dataclasses.dataclass
@@ -66,7 +90,7 @@ def run_workload(
     loops = list(workload.executions(executions))
 
     # Serial results double as the failure-path reference for SW/HW.
-    serial_runs = [run_serial(loop, params) for loop in loops]
+    serial_runs = [run_serial(loop, params, stored()) for loop in loops]
     results: Dict[Scenario, ScenarioAverages] = {}
 
     for scenario in chosen:
@@ -75,15 +99,13 @@ def run_workload(
             if scenario is Scenario.SERIAL:
                 runs.append(serial)
             elif scenario is Scenario.IDEAL:
-                runs.append(run_ideal(loop, params, workload.ideal_config()))
+                runs.append(run_ideal(loop, params, stored(workload.ideal_config())))
             elif scenario is Scenario.SW:
-                runs.append(
-                    run_sw(loop, params, workload.sw_config(), serial_result=serial)
-                )
+                runs.append(run_sw(loop, params, stored(workload.sw_config()),
+                                   serial_result=serial))
             else:
-                runs.append(
-                    run_hw(loop, params, workload.hw_config(), serial_result=serial)
-                )
+                runs.append(run_hw(loop, params, stored(workload.hw_config()),
+                                   serial_result=serial))
         n = len(runs)
         avg_breakdown = TimeBreakdown()
         for r in runs:

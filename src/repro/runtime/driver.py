@@ -567,8 +567,11 @@ def run_ideal(
     _apply_hook(config, machine)
     _begin_run(machine, Scenario.IDEAL, loop)
     _allocate_loop_arrays(machine, loop, local=False)
-    privatized = {a.name for a in loop.arrays if a.privatized}
-    for name in privatized:
+    # Allocate in declaration order: the order fixes the address layout
+    # and with it the simulated time, so it must not follow set order.
+    private_names = [a.name for a in loop.arrays if a.privatized]
+    privatized = frozenset(private_names)
+    for name in private_names:
         spec = loop.array(name)
         for proc in range(params.num_processors):
             machine.space.allocate(

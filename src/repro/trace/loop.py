@@ -84,6 +84,11 @@ class Loop:
     convention (``MinW`` is initialized above any real iteration and
     time stamps compare against iteration numbers, so 0 is reserved for
     "never").
+
+    A loop is immutable once built: its content key
+    (``repro.obs.ledger.loop_fingerprint``) is memoized on the instance
+    and keys the run ledger, the figure layer's result store and the
+    vector tier's memos.  To change a loop, build a new one.
     """
 
     def __init__(

@@ -11,6 +11,7 @@ from repro.experiments import benchdiff, ledgercli
 from repro.experiments.pool import PoolTask, run_tasks
 from repro.experiments.serialize import run_result_from_dict, run_result_to_dict
 from repro.obs import RunLedger, Telemetry, as_ledger, ledger_key
+from repro.obs.ledger import LedgerWarning
 from repro.obs.events import LedgerHitEvent, LedgerWriteEvent, RunStartEvent
 from repro.params import small_test_params
 from repro.runtime.driver import RunConfig, run_hw, run_ideal, run_serial, run_sw
@@ -316,6 +317,76 @@ class TestCacheHit:
         run_hw(_loop(), params, _static(ledger=write_only, telemetry=t2))
         assert [e for e in t2.events if isinstance(e, RunStartEvent)]
         assert not [e for e in t2.events if isinstance(e, LedgerHitEvent)]
+
+
+# ----------------------------------------------------------------------
+# fail-open reads (fault injection)
+# ----------------------------------------------------------------------
+class TestFailOpen:
+    def _archive_one(self, root):
+        ledger = RunLedger(str(root))
+        params = small_test_params(4)
+        config = _static(ledger=ledger)
+        first = run_hw(_loop(), params, config)
+        (entry,) = ledger.records()
+        return ledger, params, config, first, entry["key"]
+
+    @pytest.mark.parametrize("content", ["", '{"key": "ab', "not json\n"])
+    def test_corrupt_record_is_a_miss_with_warning(self, tmp_path, content):
+        ledger, params, config, first, key = self._archive_one(tmp_path)
+        with open(ledger.record_path(key), "w") as fh:
+            fh.write(content)
+        with pytest.warns(LedgerWarning, match="unreadable"):
+            assert ledger.lookup(key) is None
+        t = Telemetry()
+        with pytest.warns(LedgerWarning):
+            again = run_hw(_loop(), params,
+                           dataclasses.replace(config, telemetry=t))
+        # A miss: the run was simulated again, and gave the same answer.
+        assert [e for e in t.events if isinstance(e, RunStartEvent)]
+        assert not [e for e in t.events if isinstance(e, LedgerHitEvent)]
+        assert result_signature(again) == result_signature(first)
+
+    def test_record_under_the_wrong_key_is_a_miss(self, tmp_path):
+        ledger, params, config, first, key = self._archive_one(tmp_path)
+        other = run_serial(_loop(), params, config)
+        (serial_entry,) = [e for e in ledger.records() if e["key"] != key]
+        with open(ledger.record_path(serial_entry["key"])) as fh:
+            foreign = fh.read()
+        with open(ledger.record_path(key), "w") as fh:
+            fh.write(foreign)
+        with pytest.warns(LedgerWarning, match="does not hold key"):
+            again = run_hw(_loop(), params, config)
+        assert again.scenario is Scenario.HW and other.scenario is Scenario.SERIAL
+        assert result_signature(again) == result_signature(first)
+
+    def test_undeserializable_result_is_a_miss(self, tmp_path):
+        ledger, params, config, first, key = self._archive_one(tmp_path)
+        record = ledger.lookup(key)
+        record["result"] = {"scenario": "HW"}  # fields missing
+        with open(ledger.record_path(key), "w") as fh:
+            json.dump(record, fh)
+        with pytest.warns(LedgerWarning, match="does not deserialize"):
+            assert ledger.serve(key) is None
+        with pytest.warns(LedgerWarning):
+            again = run_hw(_loop(), params, config)
+        assert result_signature(again) == result_signature(first)
+
+    def test_garbage_index_lines_are_skipped_and_counted(self, tmp_path, capsys):
+        ledger, params, config, first, key = self._archive_one(tmp_path)
+        with open(ledger.index_path, "a") as fh:
+            fh.write("garbage{\n")
+            fh.write('["a", "list"]\n')
+        run_serial(_loop(), params, config)  # appends after the garbage
+        with pytest.warns(LedgerWarning, match="skipped 2 undecodable"):
+            entries = list(ledger.records())
+        assert len(entries) == 2 and entries[0]["key"] == key
+        # The intact record is still served bit-identically.
+        with pytest.warns(LedgerWarning):
+            assert ledgercli.main(["--ledger-dir", str(tmp_path), "list"]) == 0
+        assert "2 record(s)" in capsys.readouterr().out
+        served = ledger.serve(key)
+        assert result_signature(served) == result_signature(first)
 
 
 # ----------------------------------------------------------------------
