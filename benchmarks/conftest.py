@@ -10,6 +10,8 @@ import os
 
 import pytest
 
+from repro.experiments.scenarios import RESULT_STORE
+
 PRESET = os.environ.get("REPRO_PRESET", "quick")
 
 
@@ -19,5 +21,10 @@ def preset() -> str:
 
 
 def run_once(benchmark, fn, *args, **kwargs):
-    """Run a whole-figure generator exactly once under pytest-benchmark."""
+    """Run a whole-figure generator exactly once under pytest-benchmark.
+
+    The figure layer's result store is emptied first, so each bench
+    times its own simulations rather than runs an earlier bench in the
+    session left in the store."""
+    RESULT_STORE.clear()
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)

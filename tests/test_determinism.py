@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.scenarios import run_workload
+from repro.experiments.scenarios import RESULT_STORE, run_workload
 from repro.params import MachineParams
 from repro.runtime import RunConfig, SchedulePolicy, ScheduleSpec, VirtualMode
 from repro.runtime.driver import run_hw, run_serial, run_sw
@@ -51,10 +51,13 @@ class TestDeterminism:
         _results_equal(*runs)
 
     def test_workload_results_repeatable(self):
-        results = [
-            run_workload(TrackWorkload(seed=9, scale=0.5), executions=2)
-            for _ in range(2)
-        ]
+        results = []
+        for _ in range(2):
+            # Empty the figure layer's store so both calls simulate.
+            RESULT_STORE.clear()
+            results.append(
+                run_workload(TrackWorkload(seed=9, scale=0.5), executions=2)
+            )
         for scenario in (Scenario.SERIAL, Scenario.HW):
             assert (
                 results[0].scenarios[scenario].wall
