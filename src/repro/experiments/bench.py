@@ -1,13 +1,12 @@
 """The ``bench`` subcommand: simulator-throughput regression harness.
 
 Measures host wall-clock time of one representative speculative run
-across the full engine x instrumentation matrix — all three execution
-engines (``scalar``, the reference; ``batch``, the bit-identical fast
-path; ``vector``, the whole-phase numpy kernel tier) under three
-instrumentation levels: bare (no bus attached), telemetry (full
+across the full engine x instrumentation matrix — both execution
+tiers (``scalar``, the reference; ``vector``, the whole-phase numpy
+kernel tier) under three instrumentation levels: bare (no bus attached), telemetry (full
 event recording) and monitors (invariant monitors + forensics
 recorder).  Every matrix cell runs under the same static-chunk
-schedule so the scalar/batch/vector columns compare like for like.
+schedule so the scalar/vector columns compare like for like.
 Repetitions are interleaved so host-load drift hits every cell
 equally, and the result is a machine-readable JSON document::
 
@@ -19,11 +18,10 @@ equally, and the result is a machine-readable JSON document::
         "scalar": {"bare": {"best_s": ..., "iters_per_s": ...},
                    "telemetry": {"best_s": ..., "overhead_pct": ...},
                    "monitors":  {"best_s": ..., "overhead_pct": ...}},
-        "batch":  {...},
         "vector": {...},
-        "batch-fail":     {"bare": {...}},   # scenario rows, bare only
+        "scalar-fail":    {"bare": {...}},   # scenario rows, bare only
         "vector-fail":    {"bare": {...}},
-        "batch-dynamic":  {"bare": {...}},
+        "scalar-dynamic": {"bare": {...}},
         "vector-dynamic": {"bare": {...}}
       },
       "bare": {...}, "telemetry": {...}, "monitors": {...},   # scalar
@@ -31,7 +29,7 @@ equally, and the result is a machine-readable JSON document::
     }
 
 Beyond the matrix, two *scenario* rows pin the vector tier's widened
-fast path against batch on the cases that used to delegate: ``fail``
+fast path against scalar on the cases that used to delegate: ``fail``
 (the same workload with one injected cross-processor flow dependence,
 so every run aborts and re-executes serially) and ``dynamic``
 (dynamic self-scheduling on a contention-free machine, decided through
@@ -71,17 +69,17 @@ from .pool import PoolTask, run_tasks
 BENCH_ITERATIONS = 48
 BENCH_ELEMENTS = 1024
 BENCH_PROCESSORS = 4
-ENGINES = ("scalar", "batch", "vector")
+ENGINES = ("scalar", "vector")
 LEVELS = ("bare", "telemetry", "monitors")
-#: Scenario rows: batch vs vector on the cases the vector tier used to
+#: Scenario rows: scalar vs vector on the cases the vector tier used to
 #: delegate wholesale — every-run-FAILs and dynamic self-scheduling.
 SCENARIOS = ("fail", "dynamic")
-SCENARIO_ENGINES = ("batch", "vector")
+SCENARIO_ENGINES = ("scalar", "vector")
 
 
 def _bench_config(engine: str, **extra) -> RunConfig:
-    # Static-chunk for every matrix cell so the scalar/batch/vector
-    # columns measure the same schedule (the scenario rows below cover
+    # Static-chunk for every matrix cell so the scalar/vector columns
+    # measure the same schedule (the scenario rows below cover
     # the dynamic-schedule comparison explicitly).
     return RunConfig(
         engine=engine,
@@ -328,16 +326,14 @@ def run_bench(
             f"monitors {e['monitors']['overhead_pct']:+.1f}%"
         )
     lines.append(
-        "  bare speedups: "
-        f"batch/scalar {best[('scalar', 'bare')] / best[('batch', 'bare')]:.2f}x, "
-        f"vector/batch {best[('batch', 'bare')] / best[('vector', 'bare')]:.2f}x, "
+        "  bare speedup: "
         f"vector/scalar {best[('scalar', 'bare')] / best[('vector', 'bare')]:.2f}x"
     )
     for scenario in SCENARIOS:
-        b, v = best[("batch", scenario)], best[("vector", scenario)]
+        c, v = best[("scalar", scenario)], best[("vector", scenario)]
         lines.append(
-            f"  {scenario:7s} batch: {b * 1e3:8.1f} ms  "
-            f"vector: {v * 1e3:8.1f} ms  (vector/batch {b / v:.2f}x)"
+            f"  {scenario:7s} scalar: {c * 1e3:8.1f} ms  "
+            f"vector: {v * 1e3:8.1f} ms  (vector/scalar {c / v:.2f}x)"
         )
     if ledger is not None:
         key, deduped = ledger.record_bench(doc, label=out)

@@ -70,23 +70,20 @@ class RunConfig:
     """Knobs shared by the parallel scenarios."""
 
     schedule: ScheduleSpec = dataclasses.field(default_factory=ScheduleSpec)
-    #: simulation engine: ``"scalar"`` executes one event per shared
-    #: access with per-word tag objects; ``"batch"`` uses whole-line tag
-    #: blocks and keeps processors executing inline while no other
-    #: pending event could legally run first — observably equivalent to
-    #: scalar (verdicts, timing, directory end-state), enforced by the
-    #: differential conformance suite (tests/test_differential.py).
-    #: ``"vector"`` (HW scenario) rebuilds the quiescent fast path as
-    #: whole-phase numpy kernels (runtime/vector.py): verdict and
-    #: failure-attribution conformant with scalar, but free to relax
-    #: internal trace ordering and timing.  Static schedules are decided
-    #: natively (PASS and FAIL — failing runs are localized and replayed
-    #: on a batch machine for exact attribution); deterministic dynamic
-    #: schedules are replayed on a scratch machine to recover the
-    #: emergent assignment; only cost-model features the replay cannot
-    #: reproduce (contention, multi-way caches, epoched time stamps)
-    #: delegate the whole run to the batch engine.  Pinned by
-    #: ``repro.testing.diffcheck`` in its ``verdict`` signature mode.
+    #: simulation engine tier.  ``"scalar"`` is the reference: one
+    #: event per shared access, per-word tag objects.  ``"vector"`` (HW
+    #: scenario) decides the loop with whole-phase numpy kernels
+    #: (runtime/vector.py): verdict and failure-attribution conformant
+    #: with scalar, but free to relax internal trace ordering and
+    #: timing.  Static schedules are decided natively (PASS and FAIL —
+    #: failing runs are localized and replayed on a plain machine for
+    #: exact attribution); deterministic dynamic schedules are replayed
+    #: on a scratch machine to recover the emergent assignment; only
+    #: cost-model features the replay cannot reproduce (contention,
+    #: multi-way caches, epoched time stamps) delegate the whole run to
+    #: scalar.  Pinned by ``repro.testing.diffcheck``.  ``"batch"`` is
+    #: an alias that runs exactly the scalar path; only span and ledger
+    #: labels tell the two apart.
     engine: str = "scalar"
     #: dense backup copies whole arrays; sparse backs up only the lines
     #: that the loop will write (hash-table saves of §2.2.1).
@@ -238,7 +235,7 @@ def _run_phase(
         events0 = engine.events_processed
         phase_span = prof.begin(
             f"phase:{name}", cat="phase", sample=True,
-            phase=name, engine=machine.engine_mode,
+            phase=name, engine=machine.engine_label,
         )
     result = engine.run_phase(streams, start_time=start, abort_on_failure=abort_on_failure)
     finish = result.finish
@@ -450,7 +447,10 @@ def _ledger_commit(
         )
 
 
-def _begin_run(machine: Machine, scenario: Scenario, loop: Loop) -> None:
+def _begin_run(
+    machine: Machine, scenario: Scenario, loop: Loop, config: "Optional[RunConfig]"
+) -> None:
+    engine = machine.engine_label = _engine_of(config)
     prof = spans.current()
     if prof is not None:
         # Hierarchy: run -> engine tier -> phase -> epoch.  The tier
@@ -459,10 +459,10 @@ def _begin_run(machine: Machine, scenario: Scenario, loop: Loop) -> None:
         run_span = prof.begin(
             "run", cat="run", sample=True,
             scenario=scenario.value, loop=loop.name,
-            engine=machine.engine_mode,
+            engine=engine,
             procs=machine.params.num_processors,
         )
-        tier_span = prof.begin(f"engine:{machine.engine_mode}", cat="tier")
+        tier_span = prof.begin(f"engine:{engine}", cat="tier")
         machine._prof_spans = (run_span, tier_span)
     bus = machine.bus
     if bus is not None and bus.active:
@@ -523,11 +523,9 @@ def run_serial(
     served = _ledger_serve(config, Scenario.SERIAL, loop, params)
     if served is not None:
         return served
-    machine = Machine(
-        _serial_params(params), with_speculation=False, engine=_engine_of(config)
-    )
+    machine = Machine(_serial_params(params), with_speculation=False)
     _apply_hook(config, machine)
-    _begin_run(machine, Scenario.SERIAL, loop)
+    _begin_run(machine, Scenario.SERIAL, loop, config)
     _allocate_loop_arrays(machine, loop, local=True)
     phases: Dict[str, float] = {}
     breakdown = _run_phase(
@@ -563,9 +561,9 @@ def run_ideal(
     served = _ledger_serve(config, Scenario.IDEAL, loop, params)
     if served is not None:
         return served
-    machine = Machine(params, with_speculation=False, engine=_engine_of(config))
+    machine = Machine(params, with_speculation=False)
     _apply_hook(config, machine)
-    _begin_run(machine, Scenario.IDEAL, loop)
+    _begin_run(machine, Scenario.IDEAL, loop, config)
     _allocate_loop_arrays(machine, loop, local=False)
     # Allocate in declaration order: the order fixes the address layout
     # and with it the simulated time, so it must not follow set order.
@@ -734,9 +732,9 @@ def run_hw(
         from .vector import run_hw_vector
 
         return run_hw_vector(loop, params, config, serial_result)
-    machine = Machine(params, with_speculation=True, engine=_engine_of(config))
+    machine = Machine(params, with_speculation=True)
     _apply_hook(config, machine)
-    _begin_run(machine, Scenario.HW, loop)
+    _begin_run(machine, Scenario.HW, loop, config)
     assert machine.spec is not None
     has_priv = _hw_setup(machine, loop, params, config)
 
@@ -836,9 +834,9 @@ def run_sw(
         raise ConfigurationError(
             "the processor-wise software test requires static chunk scheduling"
         )
-    machine = Machine(params, with_speculation=False, engine=_engine_of(config))
+    machine = Machine(params, with_speculation=False)
     _apply_hook(config, machine)
-    _begin_run(machine, Scenario.SW, loop)
+    _begin_run(machine, Scenario.SW, loop, config)
     cost = params.cost
     num = params.num_processors
     _allocate_loop_arrays(machine, loop, local=False)

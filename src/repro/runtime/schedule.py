@@ -201,12 +201,12 @@ class _ReplayResolver:
     """Duck-typed stand-in for the :class:`SpeculationEngine` on the
     replay scratch machine.
 
-    Implements exactly the surface the batch-fast processor loop
-    touches — ``controller``, ``static_address_map``, ``resolve`` and
-    ``set_iteration`` — reproducing the armed comparator's address
-    redirections (privatized accesses to per-processor copies,
-    PRIV_SIMPLE reads routed private only after this processor wrote
-    the element) without any protocol state or messages.
+    Implements exactly the surface the processor loop touches —
+    ``controller``, ``resolve`` and ``set_iteration`` — reproducing the
+    armed comparator's address redirections (privatized accesses to
+    per-processor copies, PRIV_SIMPLE reads routed private only after
+    this processor wrote the element) without any protocol state or
+    messages.
     """
 
     def __init__(self, space, loop, params) -> None:
@@ -232,14 +232,6 @@ class _ReplayResolver:
                 self._priv_simple[spec.name] = privs
             else:
                 self._priv[spec.name] = privs
-
-    def static_address_map(self) -> dict:
-        redirected = self._priv.keys() | self._priv_simple.keys()
-        return {
-            d.name: (d.base, d.elem_bytes, d.length)
-            for d in self._space.decls()
-            if d.name not in redirected
-        }
 
     def resolve(self, proc: int, name: str, index: int, kind) -> int:
         from ..types import AccessKind
@@ -366,7 +358,7 @@ def replay_dynamic_assignment(
     self-scheduled HW run without running the speculation protocols.
 
     The dispatcher's grab order is fully determined by the cost model:
-    a scratch batch machine executes the real op streams through the
+    a scratch machine executes the real op streams through the
     real mutex/queue, with a speculation stand-in that reproduces the
     armed comparator's address redirections and (for full-PRIV arrays)
     the protocol's read-in latencies.  Returns ``(per_proc_blocks,
@@ -392,7 +384,7 @@ def replay_dynamic_assignment(
     from .executor import loop_streams
     from ..sim.processor import Mutex
 
-    scratch = Machine(params, with_speculation=False, engine="batch")
+    scratch = Machine(params, with_speculation=False)
     _hw_setup(scratch, loop, params, config)
     if loop.modified_arrays():
         result = scratch.engine.run_phase(

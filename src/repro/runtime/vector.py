@@ -1,7 +1,7 @@
 """Whole-phase vectorized execution of the hardware scheme (``engine="vector"``).
 
-The third execution tier.  Instead of simulating the quiescent loop
-phase op by op (scalar) or in batched bursts (batch), the vector tier:
+The fast execution tier.  Instead of simulating the quiescent loop
+phase op by op like the scalar reference, the vector tier:
 
 1. *extracts* the loop's access trace by walking the same per-processor
    op streams the other engines execute (:func:`loop_streams` — so
@@ -23,8 +23,7 @@ and ``tests/test_differential.py``): the vector tier is
 same pass/fail, same failure reason/element/iteration/processor, same
 detection cycle and iteration assignment.  It deliberately relaxes
 internal trace ordering and timing (wall clock, per-phase times, memory
-counters, directory end-state), which the full scalar-vs-batch
-signature still pins.
+counters, directory end-state).
 
 Safety is by *delegation*, never by guessing, but the fast path is
 wide.  Dynamic self-scheduling is decided natively: the dispatcher's
@@ -33,15 +32,15 @@ grab order is deterministic given the cost model, so
 iteration→processor map on a speculation-less scratch machine and the
 kernels run on the resulting trace.  A kernel FAIL is decided natively
 too: the FAIL-localizing kernels name the candidate elements, and one
-op-by-op batch attempt (aborted at the first FAIL, exactly like
-scalar) supplies the exact attribution — reason, element, iteration,
-processor, detection cycle — which is cross-checked against the
-candidate set.  Wholesale batch delegation remains only for cost-model
-features the replay cannot reproduce exactly (directory/L2 contention,
-multi-way caches, time-stamp epochs under dynamic scheduling) and as
-the fallback when a localized replay disagrees with the kernels.
-Kernel PASS implies scalar PASS (the kernels are conservative), so a
-vector PASS is always decided by the kernels alone.
+op-by-op attempt on a plain machine (aborted at the first FAIL,
+exactly like scalar) supplies the exact attribution — reason, element,
+iteration, processor, detection cycle — which is cross-checked against
+the candidate set.  Wholesale delegation to scalar remains only for
+cost-model features the replay cannot reproduce exactly (directory/L2
+contention, multi-way caches, time-stamp epochs under dynamic
+scheduling) and as the fallback when a localized replay disagrees with
+the kernels.  Kernel PASS implies scalar PASS (the kernels are
+conservative), so a vector PASS is always decided by the kernels alone.
 
 Extractions are memoized across sweep points: runs sharing the loop
 fingerprint, schedule, and machine geometry reuse the flat trace (and,
@@ -160,7 +159,7 @@ def _extract(
 ) -> _Extraction:
     """Walk the real per-processor op streams and record every access.
 
-    Uses the same :func:`loop_streams` the scalar/batch engines execute,
+    Uses the same :func:`loop_streams` the scalar engine executes,
     so static planning, chunk virtualization and the §3.3 epoch
     partitioning (including its ``SchedulingError`` rejections) are
     byte-for-byte shared.  For dynamic schedules the caller supplies the
@@ -597,7 +596,7 @@ def _fail_path(
     delegation.
 
     The localization kernels have already named the candidate failing
-    elements per array.  One op-by-op batch attempt — the same
+    elements per array.  One op-by-op attempt — the same
     backup + speculative-doall code path :func:`run_hw` uses, aborted
     at the first FAIL exactly like scalar — supplies the attribution
     (reason, element, iteration, processor, detection cycle), which
@@ -619,9 +618,9 @@ def _fail_path(
         _run_phase,
     )
 
-    machine = Machine(params, with_speculation=True, engine="batch")
+    machine = Machine(params, with_speculation=True)
     _apply_hook(config, machine)
-    _begin_run(machine, Scenario.HW, loop)
+    _begin_run(machine, Scenario.HW, loop, config)
     assert machine.spec is not None
     has_priv = _hw_setup(machine, loop, params, config)
 
@@ -686,11 +685,11 @@ def _fail_path(
 
 
 def _delegate(loop, params, config, serial_result, reason="unreproducible-cost-model"):
-    """Re-run the whole case on the batch engine (observably identical
-    to scalar), re-stamping provenance so the result still names the
-    configuration the caller asked for.
+    """Re-run the whole case on the scalar engine, re-stamping
+    provenance so the result still names the configuration the caller
+    asked for.
 
-    The inner run is given no ledger: it would archive under the batch
+    The inner run is given no ledger: it would archive under the scalar
     config's content address, which the caller's future vector-keyed
     lookups can never hit.  Instead the finished result — with its
     vector provenance restored — is committed here under the caller's
@@ -703,9 +702,9 @@ def _delegate(loop, params, config, serial_result, reason="unreproducible-cost-m
         prof.count("vector.delegations")
         handle = prof.begin("vector.delegate", cat="vector", reason=reason)
     t0 = time.perf_counter()
-    batch = dataclasses.replace(config, engine="batch", ledger=None)
+    scalar = dataclasses.replace(config, engine="scalar", ledger=None)
     try:
-        result = run_hw(loop, params, batch, serial_result)
+        result = run_hw(loop, params, scalar, serial_result)
     finally:
         if prof is not None:
             prof.end(handle)
@@ -809,9 +808,9 @@ def run_hw_vector(
         }
         return _fail_path(loop, params, config, serial_result, candidates)
 
-    machine = Machine(params, with_speculation=True, engine="vector")
+    machine = Machine(params, with_speculation=True)
     _apply_hook(config, machine)
-    _begin_run(machine, Scenario.HW, loop)
+    _begin_run(machine, Scenario.HW, loop, config)
     assert machine.spec is not None
     _hw_setup(machine, loop, params, config)
 

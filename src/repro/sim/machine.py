@@ -27,14 +27,8 @@ class Machine:
         params: MachineParams,
         space: Optional[AddressSpace] = None,
         with_speculation: bool = True,
-        engine: str = "scalar",
     ) -> None:
-        if engine not in ("scalar", "batch", "vector"):
-            raise ValueError(
-                f"unknown engine {engine!r}: use 'scalar', 'batch' or 'vector'"
-            )
         self.params = params
-        self.engine_mode = engine
         self.space = space or AddressSpace(
             params.num_nodes, params.page_bytes, params.line_bytes
         )
@@ -43,18 +37,12 @@ class Machine:
         self.engine = Engine(self.memsys, self.space, spec=None)
         #: telemetry bus (repro.obs.EventBus), wired by attach_bus()
         self.bus = None
-        # The vector tier runs every phase it executes op-by-op (backup,
-        # copy-out, aggregate segments) through the batch fast path; the
-        # whole-phase kernels live above the machine, in runtime/vector.
-        if engine in ("batch", "vector"):
-            for proc in self.engine.processors:
-                proc.fast = True
+        #: ``RunConfig.engine`` of the run, stamped by the driver onto its
+        #: spans; a label only, since every tier runs this same machine
+        self.engine_label = "scalar"
         if with_speculation:
             self.spec = SpeculationEngine(
-                params,
-                self.space,
-                scheduler=self.engine.message_scheduler,
-                batch=(engine in ("batch", "vector")),
+                params, self.space, scheduler=self.engine.message_scheduler
             )
             self.spec.attach(self.memsys)
             self.spec.ctx.clock = self.engine

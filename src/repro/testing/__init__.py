@@ -1,9 +1,9 @@
 """Test-support tooling shipped with the package.
 
 The one resident so far is the differential conformance harness
-(:mod:`repro.testing.diffcheck`), which checks that the scalar and
-batch simulation engines produce identical protocol outcomes on
-randomized workloads.  It lives in the package (not under ``tests/``)
+(:mod:`repro.testing.diffcheck`), which checks that the vector tier
+reaches the scalar reference engine's verdict and failure attribution
+on randomized workloads.  It lives in the package (not under ``tests/``)
 so a failing seed can be replayed from any checkout with::
 
     python -m repro.testing.diffcheck --seed 12345

@@ -1,36 +1,26 @@
-"""Differential conformance harness: scalar engine vs batch/vector engine.
+"""Differential conformance harness: scalar engine vs vector tier.
 
-The batch execution engine (``RunConfig(engine="batch")``) re-implements
-the processor op loop and the speculation protocols' tag-side state for
-speed.  Its correctness contract is *observational equivalence* with the
-scalar reference engine, and this module is the machine check of that
-contract: build a seeded random case (loop shape x schedule x protocol
-x injected dependence), run it through both engines, and compare
-
-* the verdict (``passed``), the failure reason, culprit element,
-  iteration and detecting processor, and the detection cycle;
-* the final speculation-directory state (every element-state table of
-  every registered array) and the final coherence-directory state;
-* the timing surface — wall clock, per-phase durations — plus the
-  protocol message count and the memory-system counters.  The engines
-  are maintained *bit-identical*, which is stronger than the protocol
-  equivalence the conformance suite strictly needs; comparing timing
-  too means any future divergence is caught here first, with a seed,
-  instead of surfacing as an unexplained figure shift.
-
-The vector tier (``RunConfig(engine="vector")``, ``--engine vector``)
-has a deliberately weaker contract — verdict/failure-attribution
-conformance — so it is compared under the relaxed ``verdict``
-*signature mode* (:func:`verdict_signature`): pass/fail, failure
+The vector tier (``RunConfig(engine="vector")``) decides the
+speculative loop with whole-phase numpy kernels instead of simulating
+it op by op.  Its correctness contract is *verdict/failure-attribution
+conformance* with the scalar reference engine, and this module is the
+machine check of that contract: build a seeded random case (loop shape
+x schedule x protocol x injected dependence), run it through both
+engines, and compare the :func:`verdict_signature` — pass/fail, failure
 reason/element/iteration/processor, detection cycle and iteration
-assignment, with timing, tables and trace ordering left free.  The
-signature mode is picked per engine by :func:`signature_mode_of` and
-named in every mismatch message.
+assignment, with timing, tables and trace ordering left free.
 
-Every mismatch message embeds the seed and engine, so a failing
-randomized test reproduces with one line::
+:func:`conformance_signature` captures far more (timing surface,
+memory counters, the speculation element-state tables and the
+coherence-directory end-state); its result-only projection
+:func:`result_signature` is the bit-identity check the run ledger and
+the benchmark use.  ``RunConfig(engine="batch")`` is an alias that runs
+exactly the scalar path, so it is not a candidate here.
 
-    python -m repro.testing.diffcheck --seed 12345 --engine batch --verbose
+Every mismatch message embeds the seed, so a failing randomized test
+reproduces with one line::
+
+    python -m repro.testing.diffcheck --seed 12345 --engine vector --verbose
 
 ``tests/test_differential.py`` sweeps seeds 0..N (N >= 200) through
 :func:`check_seed`.  :func:`run_seeds` fans a seed batch out across
@@ -334,26 +324,19 @@ def verdict_signature(sig: dict) -> dict:
     return {key: sig[key] for key in VERDICT_KEYS}
 
 
-def signature_mode_of(engine: str) -> str:
-    """Which signature a candidate engine is held to against scalar:
-    ``full`` (bit-identical, the batch contract) or ``verdict`` (the
-    vector contract)."""
-    return "verdict" if engine == "vector" else "full"
-
-
-def _project(sig: dict, mode: str) -> dict:
-    return verdict_signature(sig) if mode == "verdict" else sig
+#: The one candidate engine held against scalar, named in repro lines.
+CANDIDATE = "vector"
 
 
 class DiffMismatch(AssertionError):
     """Raised when the two engines disagree; message carries the repro."""
 
 
-def run_case(case: CaseSpec, engine: str = "batch") -> Tuple[dict, dict]:
-    """Run one case through scalar and ``engine``; return both *full*
-    signatures (callers project to the engine's signature mode)."""
+def run_case(case: CaseSpec) -> Tuple[dict, dict]:
+    """Run one case through scalar and the vector tier; return both
+    *full* signatures (callers project to :func:`verdict_signature`)."""
     sigs = []
-    for eng in ("scalar", engine):
+    for eng in ("scalar", CANDIDATE):
         captured: List[object] = []
         config = RunConfig(
             engine=eng,
@@ -367,8 +350,8 @@ def run_case(case: CaseSpec, engine: str = "batch") -> Tuple[dict, dict]:
     return sigs[0], sigs[1]
 
 
-def _diff_keys(scalar_sig: dict, other_sig: dict, engine: str) -> List[str]:
-    label = f"{engine}:".ljust(8)
+def _diff_keys(scalar_sig: dict, other_sig: dict) -> List[str]:
+    label = f"{CANDIDATE}:".ljust(8)
     lines = []
     for key in scalar_sig:
         if scalar_sig[key] != other_sig[key]:
@@ -379,48 +362,38 @@ def _diff_keys(scalar_sig: dict, other_sig: dict, engine: str) -> List[str]:
     return lines
 
 
-def _mismatch_message(
-    case: CaseSpec, scalar_sig: dict, other_sig: dict, engine: str = "batch"
-) -> str:
-    mode = signature_mode_of(engine)
-    detail = "\n".join(_diff_keys(scalar_sig, other_sig, engine))
+def _mismatch_message(case: CaseSpec, scalar_sig: dict, other_sig: dict) -> str:
+    detail = "\n".join(_diff_keys(scalar_sig, other_sig))
     return (
-        f"scalar/{engine} divergence on {case.describe()} "
-        f"(signature mode: {mode})\n{detail}\n"
+        f"scalar/{CANDIDATE} divergence on {case.describe()} "
+        f"(signature mode: verdict)\n{detail}\n"
         f"reproduce: python -m repro.testing.diffcheck "
-        f"--seed {case.seed} --engine {engine} --verbose"
+        f"--seed {case.seed} --engine {CANDIDATE} --verbose"
     )
 
 
-def check_seed(
-    seed: int, engine: str = "batch", variant: str = "baseline"
-) -> CaseSpec:
-    """Build, run and compare one seed under ``engine``'s signature
-    mode; raise :class:`DiffMismatch` with a one-line repro on any
-    disagreement."""
+def check_seed(seed: int, variant: str = "baseline") -> CaseSpec:
+    """Build, run and compare one seed; raise :class:`DiffMismatch`
+    with a one-line repro on any disagreement."""
     case = build_case(seed, variant)
-    scalar_sig, other_sig = run_case(case, engine)
-    mode = signature_mode_of(engine)
-    a, b = _project(scalar_sig, mode), _project(other_sig, mode)
+    scalar_sig, other_sig = run_case(case)
+    a, b = verdict_signature(scalar_sig), verdict_signature(other_sig)
     if a != b:
-        raise DiffMismatch(_mismatch_message(case, a, b, engine))
+        raise DiffMismatch(_mismatch_message(case, a, b))
     return case
 
 
-def seed_verdict(
-    seed: int, engine: str = "batch", variant: str = "baseline"
-) -> Dict[str, object]:
+def seed_verdict(seed: int, variant: str = "baseline") -> Dict[str, object]:
     """One seed's sweep record, as plain data (pool-task friendly).
 
-    Keys: ``seed``, ``describe``, ``conforms`` (the engines agree under
-    ``engine``'s signature mode), ``passed`` (the scalar run's verdict),
-    and — on a mismatch only — ``message`` carrying the detail plus the
+    Keys: ``seed``, ``describe``, ``conforms`` (the engines agree on
+    the verdict signature), ``passed`` (the scalar run's verdict), and
+    — on a mismatch only — ``message`` carrying the detail plus the
     one-line repro.
     """
     case = build_case(seed, variant)
-    scalar_sig, other_sig = run_case(case, engine)
-    mode = signature_mode_of(engine)
-    a, b = _project(scalar_sig, mode), _project(other_sig, mode)
+    scalar_sig, other_sig = run_case(case)
+    a, b = verdict_signature(scalar_sig), verdict_signature(other_sig)
     verdict: Dict[str, object] = {
         "seed": seed,
         "describe": case.describe(),
@@ -428,7 +401,7 @@ def seed_verdict(
         "passed": bool(scalar_sig["passed"]),
     }
     if not verdict["conforms"]:
-        verdict["message"] = _mismatch_message(case, a, b, engine)
+        verdict["message"] = _mismatch_message(case, a, b)
     return verdict
 
 
@@ -437,7 +410,6 @@ def run_seeds(
     jobs: int = 1,
     timeout: Optional[float] = None,
     bus=None,
-    engine: str = "batch",
     profile=None,
     variant: str = "baseline",
 ) -> List[Dict[str, object]]:
@@ -447,7 +419,7 @@ def run_seeds(
     ``repro.obs.spans.ProfileSession``) enables per-task profiling
     capture without changing any verdict."""
     tasks = [
-        PoolTask(seed_verdict, (seed, engine, variant), label=f"seed:{seed}")
+        PoolTask(seed_verdict, (seed, variant), label=f"seed:{seed}")
         for seed in seeds
     ]
     return run_tasks(tasks, jobs=jobs, timeout=timeout, bus=bus,
@@ -461,13 +433,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.testing.diffcheck",
         description="Replay differential conformance cases "
-        "(scalar vs batch/vector).",
+        "(scalar vs vector).",
     )
     parser.add_argument("--seed", type=int, help="run one specific seed")
     parser.add_argument(
-        "--engine", choices=("batch", "vector"), default="batch",
-        help="candidate engine compared against scalar; batch is held to "
-        "the full bit-identical signature, vector to the relaxed "
+        "--engine", choices=(CANDIDATE,), default=CANDIDATE,
+        help="candidate engine compared against scalar on the "
         "verdict/failure-attribution signature",
     )
     parser.add_argument(
@@ -511,8 +482,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         else list(range(args.start, args.start + args.count))
     )
     verdicts = run_seeds(
-        seeds, jobs=args.jobs, timeout=args.timeout, engine=args.engine,
-        variant=args.variant,
+        seeds, jobs=args.jobs, timeout=args.timeout, variant=args.variant,
     )
     failures = 0
     for verdict in verdicts:
@@ -521,17 +491,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"FAIL {verdict['message']}")
         elif args.verbose:
             print(f"ok   {verdict['describe']}")
-    mode = signature_mode_of(args.engine)
     print(
         f"{len(seeds) - failures}/{len(seeds)} cases conform "
-        f"(scalar vs {args.engine}, {mode} signature)"
+        f"(scalar vs {CANDIDATE}, verdict signature)"
     )
     if args.verdicts_out:
         doc = {
             "harness": "diffcheck",
-            "engine": args.engine,
+            "engine": CANDIDATE,
             "variant": args.variant,
-            "signature_mode": mode,
+            "signature_mode": "verdict",
             "seeds": [seeds[0], seeds[-1]] if seeds else [],
             "verdicts": {
                 str(v["seed"]): {"conforms": v["conforms"], "passed": v["passed"]}

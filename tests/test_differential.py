@@ -1,17 +1,14 @@
-"""Differential conformance suite: scalar vs batch vs vector engine.
+"""Differential conformance suite: scalar engine vs vector tier.
 
 Sweeps seeded randomized cases through ``repro.testing.diffcheck``.
-The batch engine must agree with scalar on *everything* the full
-conformance contract covers: verdict, failure attribution, detection
-cycle, timing surface, memory counters, assignment, the speculation
-element-state tables and the coherence-directory end-state.  The
-vector tier is held to the relaxed ``verdict`` signature (pass/fail,
-failure attribution, detection cycle, assignment) over the same corpus.
+The vector tier is held to the ``verdict`` signature (pass/fail,
+failure attribution, detection cycle, assignment) against the scalar
+reference over the static corpus and its dynamic-nocontention variant.
 
 Any mismatch raises ``DiffMismatch`` whose message embeds the failing
 seed, engine and signature mode, and the one-line repro::
 
-    python -m repro.testing.diffcheck --seed <N> --engine <E> --verbose
+    python -m repro.testing.diffcheck --seed <N> --engine vector --verbose
 """
 
 from __future__ import annotations
@@ -31,7 +28,6 @@ from repro.testing.diffcheck import (
     run_case,
     run_seeds,
     seed_verdict,
-    signature_mode_of,
     verdict_signature,
 )
 from repro.types import ProtocolKind
@@ -101,23 +97,29 @@ def test_sweep_exercises_both_verdicts():
     raise AssertionError(f"only saw verdicts {verdicts} in 60 seeds")
 
 
+def _corrupt_detection_cycle(real_run_case):
+    """A ``run_case`` whose vector signature detects one cycle late."""
+
+    def corrupted(case):
+        scalar_sig, vector_sig = real_run_case(case)
+        vector_sig = dict(vector_sig)
+        vector_sig["detection_cycle"] = (scalar_sig["detection_cycle"] or 0) + 1
+        return scalar_sig, vector_sig
+
+    return corrupted
+
+
 def test_mismatch_message_carries_the_repro_line(monkeypatch):
     """A divergence must print the failing seed for one-line repro."""
-    real_run_case = diffcheck.run_case
-
-    def corrupted(case, engine="batch"):
-        scalar_sig, batch_sig = real_run_case(case, engine)
-        batch_sig = dict(batch_sig)
-        batch_sig["wall"] = scalar_sig["wall"] + 1
-        return scalar_sig, batch_sig
-
-    monkeypatch.setattr(diffcheck, "run_case", corrupted)
+    monkeypatch.setattr(
+        diffcheck, "run_case", _corrupt_detection_cycle(diffcheck.run_case)
+    )
     with pytest.raises(DiffMismatch) as excinfo:
         diffcheck.check_seed(777)
     message = str(excinfo.value)
-    assert "python -m repro.testing.diffcheck --seed 777 --engine batch" in message
-    assert "signature mode: full" in message
-    assert "wall" in message
+    assert "python -m repro.testing.diffcheck --seed 777 --engine vector" in message
+    assert "signature mode: verdict" in message
+    assert "detection_cycle" in message
 
 
 def test_parallel_seed_sweep_matches_serial():
@@ -133,15 +135,9 @@ def test_parallel_seed_sweep_matches_serial():
 def test_seed_verdict_preserves_the_repro_line(monkeypatch):
     """A mismatching seed's verdict must carry the one-line repro, so
     parallel sweeps lose nothing over the serial FAIL output."""
-    real_run_case = diffcheck.run_case
-
-    def corrupted(case, engine="batch"):
-        scalar_sig, batch_sig = real_run_case(case, engine)
-        batch_sig = dict(batch_sig)
-        batch_sig["wall"] = scalar_sig["wall"] + 1
-        return scalar_sig, batch_sig
-
-    monkeypatch.setattr(diffcheck, "run_case", corrupted)
+    monkeypatch.setattr(
+        diffcheck, "run_case", _corrupt_detection_cycle(diffcheck.run_case)
+    )
     verdict = seed_verdict(42)
     assert not verdict["conforms"]
     assert "python -m repro.testing.diffcheck --seed 42" in verdict["message"]
@@ -167,7 +163,7 @@ def test_diffcheck_cli_jobs_and_verdicts_out(tmp_path, capsys):
 def test_signature_includes_directory_state():
     """The conformance signature must compare protocol-table and
     coherence-directory end-state, not just the verdict."""
-    scalar_sig, batch_sig = run_case(build_case(3))
+    scalar_sig, _ = run_case(build_case(3))
     assert "coherence_dirs" in scalar_sig and scalar_sig["coherence_dirs"]
     tables = (
         scalar_sig["nonpriv_tables"]
@@ -175,38 +171,32 @@ def test_signature_includes_directory_state():
         or scalar_sig["priv_simple_tables"]
     )
     assert tables, "no element-state table captured"
-    assert scalar_sig == batch_sig
 
 
 # ----------------------------------------------------------------------
-# Three-way conformance: scalar / batch / vector (ISSUE 6)
+# The vector tier against scalar
 # ----------------------------------------------------------------------
 class TestThreeWayConformance:
-    """The vector tier's contract over the same fixed 240-seed corpus:
-    batch stays bit-identical to scalar (full signature), vector agrees
-    on the relaxed verdict signature — pass/fail, failure attribution,
-    detection cycle, iteration assignment."""
+    """The vector tier's contract over the fixed 240-seed corpora: it
+    agrees with scalar on the verdict signature — pass/fail, failure
+    attribution, detection cycle, iteration assignment."""
 
     @pytest.mark.parametrize("base", [g * GROUP for g in range(GROUPS)])
     def test_vector_verdict_sweep(self, base):
+        """The dynamic-nocontention corpus (``test_conformance_sweep``
+        covers the static one)."""
         for seed in range(base, base + GROUP):
-            check_seed(seed, engine="vector")
+            check_seed(seed, "dynamic-nocontention")
 
     def test_three_way_agreement(self):
-        """One explicit three-way check: both candidate engines compared
-        against the same scalar reference run, each under its mode."""
+        """Repeat runs of one case: the scalar reference is
+        deterministic and the vector tier agrees with it each time."""
         for seed in (0, 3, 7, 11, 19):
             case = build_case(seed)
-            scalar_sig, batch_sig = run_case(case, engine="batch")
-            scalar_again, vector_sig = run_case(case, engine="vector")
-            assert scalar_sig == batch_sig
+            scalar_sig, vector_sig = run_case(case)
+            scalar_again, _ = run_case(case)
             assert scalar_sig == scalar_again
             assert verdict_signature(vector_sig) == verdict_signature(scalar_sig)
-
-    def test_signature_modes(self):
-        assert signature_mode_of("batch") == "full"
-        assert signature_mode_of("scalar") == "full"
-        assert signature_mode_of("vector") == "verdict"
 
     def test_verdict_signature_is_a_strict_projection(self):
         scalar_sig, _ = run_case(build_case(5))
@@ -219,15 +209,15 @@ class TestThreeWayConformance:
     def test_vector_mismatch_names_engine_and_mode(self, monkeypatch):
         real_run_case = diffcheck.run_case
 
-        def corrupted(case, engine="batch"):
-            scalar_sig, other_sig = real_run_case(case, engine)
+        def corrupted(case):
+            scalar_sig, other_sig = real_run_case(case)
             other_sig = dict(other_sig)
             other_sig["passed"] = not other_sig["passed"]
             return scalar_sig, other_sig
 
         monkeypatch.setattr(diffcheck, "run_case", corrupted)
         with pytest.raises(DiffMismatch) as excinfo:
-            diffcheck.check_seed(9, engine="vector")
+            diffcheck.check_seed(9)
         message = str(excinfo.value)
         assert "--seed 9 --engine vector" in message
         assert "signature mode: verdict" in message
@@ -260,7 +250,7 @@ class TestVectorFastPathCoverage:
             prof = SpanProfiler()
             spans.install(prof)
             try:
-                scalar_sig, vector_sig = run_case(case, engine="vector")
+                scalar_sig, vector_sig = run_case(case)
             finally:
                 spans.uninstall()
             assert verdict_signature(scalar_sig) == verdict_signature(
@@ -313,8 +303,8 @@ class TestVectorFastPathCoverage:
         prof = SpanProfiler()
         spans.install(prof)
         try:
-            run_case(case, engine="vector")  # cold: fills the memos
-            run_case(case, engine="vector")  # warm: must hit both
+            run_case(case)  # cold: fills the memos
+            run_case(case)  # warm: must hit both
         finally:
             spans.uninstall()
         assert _counter_total(prof, "vector.extract_memo_hits") >= 1

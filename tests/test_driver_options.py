@@ -14,6 +14,11 @@ from repro.runtime import (
 )
 from repro.trace import ArraySpec, Loop, compute, read, write
 from repro.types import ProtocolKind
+from repro.workloads.synthetic import (
+    failing_loop,
+    parallel_nonpriv_loop,
+    privatizable_loop,
+)
 
 PARAMS = MachineParams(num_processors=4)
 STATIC = ScheduleSpec(SchedulePolicy.STATIC_CHUNK, 1, VirtualMode.CHUNK)
@@ -104,3 +109,23 @@ class TestMemStats:
         r = run_serial(loop, PARAMS)
         s = r.mem
         assert s.l1_hits + s.l2_hits + s.misses == s.accesses
+
+
+class TestBatchAlias:
+    """``engine="batch"`` names the scalar path: the end-to-end
+    benchmark still runs it and requires scalar's full signature."""
+
+    @pytest.mark.parametrize("make_loop", [
+        lambda: parallel_nonpriv_loop("alias-nonpriv", elements=256, iterations=16),
+        lambda: privatizable_loop("alias-priv", elements=32, iterations=16,
+                                  simple=False),
+        lambda: failing_loop(8, "alias-fail", elements=256, iterations=16),
+    ], ids=["nonpriv", "priv", "forced-fail"])
+    def test_batch_result_signature_equals_scalar(self, make_loop):
+        from repro.testing.diffcheck import result_signature
+
+        loop = make_loop()
+        scalar = run_hw(loop, PARAMS, RunConfig(schedule=STATIC))
+        batch = run_hw(loop, PARAMS, RunConfig(engine="batch", schedule=STATIC))
+        assert result_signature(batch) == result_signature(scalar)
+        assert scalar.passed is (loop.name != "alias-fail")

@@ -207,11 +207,11 @@ class TestCLI:
         assert "overhead_pct" in doc["telemetry"]
         assert "overhead_pct" in doc["monitors"]
         assert doc["provenance"]["config_hash"]
-        # The engine matrix covers all three engines at every level,
-        # plus the bare-only FAIL-heavy and dynamic scenario rows.
-        scenario_rows = {"batch-fail", "vector-fail",
-                         "batch-dynamic", "vector-dynamic"}
-        assert set(doc["engines"]) == {"scalar", "batch", "vector"} | scenario_rows
+        # The engine matrix covers both tiers at every level, plus the
+        # bare-only FAIL-heavy and dynamic scenario rows.
+        scenario_rows = {"scalar-fail", "vector-fail",
+                         "scalar-dynamic", "vector-dynamic"}
+        assert set(doc["engines"]) == {"scalar", "vector"} | scenario_rows
         for engine, levels in doc["engines"].items():
             if engine in scenario_rows:
                 assert set(levels) == {"bare"}
@@ -221,8 +221,7 @@ class TestCLI:
         # Top level mirrors the scalar engine (PR3-era shape).
         assert doc["bare"] == doc["engines"]["scalar"]["bare"]
         out = capsys.readouterr().out
-        assert "wrote" in out and "bare speedups: batch/scalar" in out
-        assert "vector/batch" in out
+        assert "wrote" in out and "bare speedup: vector/scalar" in out
         assert "fail" in out and "dynamic" in out
 
     def test_cli_bench_parallel_cells(self, tmp_path, capsys):
@@ -235,8 +234,8 @@ class TestCLI:
                      "--bench-reps", "1", "--jobs", "2"]) == 0
         doc = json.loads(out_path.read_text())
         assert set(doc["engines"]) == {
-            "scalar", "batch", "vector",
-            "batch-fail", "vector-fail", "batch-dynamic", "vector-dynamic",
+            "scalar", "vector",
+            "scalar-fail", "vector-fail", "scalar-dynamic", "vector-dynamic",
         }
         for levels in doc["engines"].values():
             assert levels["bare"]["iters_per_s"] > 0
@@ -271,7 +270,9 @@ class TestCLI:
         from repro.experiments.cli import main
 
         out_path = tmp_path / "profile.json"
-        assert main(["profile", "--workload", "Track", "--jobs", "2",
+        # Adm: the vector tier runs it natively, so both tiers show up
+        # (it delegates Track's dynamic schedule to scalar).
+        assert main(["profile", "--workload", "Adm", "--jobs", "2",
                      "--profile-out", str(out_path)]) == 0
         doc = json.loads(out_path.read_text())
         events = doc["traceEvents"]
@@ -283,7 +284,7 @@ class TestCLI:
             (tmp_path / "profile-rollup.json").read_text()
         )
         assert rollup["tasks"] == len(task_spans)
-        assert set(rollup["phase_breakdown_s"]) >= {"scalar", "batch"}
+        assert set(rollup["phase_breakdown_s"]) == {"scalar", "vector"}
         out = capsys.readouterr().out
         assert "wrote" in out and "task wall" in out
 
@@ -363,6 +364,37 @@ class TestBenchDiff:
         report, regressions = compare(flat, self._doc(0.020, 0.014))
         assert not regressions  # everything got faster
         assert any("only in current" in line for line in report)
+
+    def test_vanished_batch_cells_are_one_sided(self):
+        """Diffing the committed BENCH_PR10.json against a bench with
+        no batch column (scenario rows now scalar-*) reports the batch
+        cells as one-sided, never as regressions."""
+        import copy
+        import json
+        from pathlib import Path
+
+        from repro.experiments.benchdiff import compare
+
+        root = Path(__file__).resolve().parent.parent
+        baseline = json.loads((root / "BENCH_PR10.json").read_text())
+        current = copy.deepcopy(baseline)
+        engines = current["engines"]
+        for name in ("batch", "batch-fail", "batch-dynamic"):
+            del engines[name]
+        # Scalar rows 10x slower than the vanished batch ones: a
+        # one-sided cell must not be compared across engines.
+        for scenario in ("fail", "dynamic"):
+            row = baseline["engines"][f"batch-{scenario}"]["bare"]
+            engines[f"scalar-{scenario}"] = {
+                "bare": {"best_s": row["best_s"] * 10}
+            }
+        report, regressions = compare(baseline, current)
+        assert regressions == []
+        for name in ("batch/bare", "batch/telemetry", "batch/monitors",
+                     "batch-fail/bare", "batch-dynamic/bare"):
+            assert f"  {name}: only in baseline document" in report
+        for name in ("scalar-fail/bare", "scalar-dynamic/bare"):
+            assert f"  {name}: only in current document" in report
 
 
 class TestCharts:

@@ -525,8 +525,8 @@ class TestBenchHistory:
         doc = ledger.lookup(entry["key"])["bench"]
         assert doc == json.loads(out.read_text())
         assert set(entry["bare_iters_per_s"]) == {
-            "scalar", "batch", "vector",
-            "batch-fail", "vector-fail", "batch-dynamic", "vector-dynamic",
+            "scalar", "vector",
+            "scalar-fail", "vector-fail", "scalar-dynamic", "vector-dynamic",
         }
 
 

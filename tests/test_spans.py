@@ -139,10 +139,10 @@ class TestNullPath:
 
 
 class TestAmbientProfile:
-    def test_batch_run_span_hierarchy(self):
+    def test_run_span_hierarchy(self):
         spans.install(SpanProfiler())
         try:
-            result = run_hw(_small_loop(), small_test_params(2), _config("batch"))
+            result = run_hw(_small_loop(), small_test_params(2), _config("scalar"))
         finally:
             prof = spans.current()
             spans.uninstall()
@@ -150,34 +150,18 @@ class TestAmbientProfile:
         recorded = prof.snapshot()["spans"]
         by_sid = {s["sid"]: s for s in recorded}
         names = [s["name"] for s in recorded]
-        assert "run" in names and "engine:batch" in names
+        assert "run" in names and "engine:scalar" in names
         assert "phase:loop" in names and "epoch#0" in names
         run = next(s for s in recorded if s["name"] == "run")
-        tier = next(s for s in recorded if s["name"] == "engine:batch")
+        tier = next(s for s in recorded if s["name"] == "engine:scalar")
         phase = next(s for s in recorded if s["name"] == "phase:loop")
         assert tier["parent"] == run["sid"]
         assert phase["parent"] == tier["sid"]
         epochs = [s for s in recorded if s["cat"] == "epoch"]
         assert all(by_sid[s["parent"]]["cat"] == "phase" for s in epochs)
-        # The batch fast loop counts its bursts on the enclosing epochs.
-        bursts = sum(
-            s["counters"].get("batch.fast_bursts", 0) for s in epochs
-        )
-        assert bursts > 0
-        assert run["args"]["engine"] == "batch"
-        assert phase["args"]["engine"] == "batch"
+        assert run["args"]["engine"] == "scalar"
+        assert phase["args"]["engine"] == "scalar"
         assert phase["counters"]["engine.events"] > 0
-
-    def test_fine_profiler_records_burst_spans(self):
-        spans.install(SpanProfiler(fine=True))
-        try:
-            run_hw(_small_loop(), small_test_params(2), _config("batch"))
-        finally:
-            prof = spans.current()
-            spans.uninstall()
-        bursts = [s for s in prof.spans if s["name"] == "fast-burst"]
-        assert bursts
-        assert all(s["cat"] == "batch" for s in bursts)
 
     def test_vector_run_records_kernel_spans(self):
         from repro.runtime.vector import clear_extraction_memos
@@ -211,9 +195,9 @@ class TestAmbientProfile:
             s for s in snap["spans"] if s["name"] == "vector.delegate"
         )
         assert delegate["args"]["reason"] == "dynamic-schedule"
-        # The delegated batch run nests inside the delegate span.
+        # The delegated scalar run nests inside the delegate span.
         runs = [s for s in snap["spans"] if s["name"] == "run"]
-        assert any(s["args"]["engine"] == "batch" for s in runs)
+        assert any(s["args"]["engine"] == "scalar" for s in runs)
         assert snap["counters"].get("vector.delegations") == 1
 
 
