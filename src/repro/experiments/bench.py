@@ -19,23 +19,20 @@ equally, and the result is a machine-readable JSON document::
                    "telemetry": {"best_s": ..., "overhead_pct": ...},
                    "monitors":  {"best_s": ..., "overhead_pct": ...}},
         "vector": {...},
-        "scalar-fail":    {"bare": {...}},   # scenario rows, bare only
-        "vector-fail":    {"bare": {...}},
-        "scalar-dynamic": {"bare": {...}},
-        "vector-dynamic": {"bare": {...}}
+        "scalar-fail": {"bare": {...}},   # scenario row, bare only
+        "vector-fail": {"bare": {...}}
       },
       "bare": {...}, "telemetry": {...}, "monitors": {...},   # scalar
       "provenance": {"config_hash": ..., "code_version": ...}
     }
 
-Beyond the matrix, two *scenario* rows pin the vector tier's widened
-fast path against scalar on the cases that used to delegate: ``fail``
-(the same workload with one injected cross-processor flow dependence,
-so every run aborts and re-executes serially) and ``dynamic``
-(dynamic self-scheduling on a contention-free machine, decided through
-the scratch-machine grab replay).  Scenario rows are bare-level only
-and keyed as pseudo-engines (``vector-fail`` etc.) so ``benchdiff``
-picks them up without a schema change.
+Beyond the matrix, one *scenario* row pins the vector tier's localized
+FAIL path against scalar: ``fail`` (the same workload with one injected
+cross-processor flow dependence, so every run aborts and re-executes
+serially).  Scenario rows are bare-level only and keyed as
+pseudo-engines (``vector-fail`` etc.) so ``benchdiff`` picks them up
+without a schema change.  There is no dynamic-schedule row: the vector
+tier delegates those runs to scalar, so it would time scalar twice.
 
 The top-level ``bare``/``telemetry``/``monitors`` keys mirror the
 scalar engine for continuity with the PR3-era document shape.  The CI
@@ -53,14 +50,13 @@ measurement — use ``jobs=1`` (the default) for baseline documents.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import json
 import time
 from typing import Callable, Dict, List, Tuple
 
 from ..obs import MonitorSuite, Telemetry
-from ..params import ContentionModel, small_test_params
+from ..params import small_test_params
 from ..runtime.driver import RunConfig, run_hw
 from ..runtime.schedule import SchedulePolicy, ScheduleSpec
 from ..workloads.synthetic import failing_loop, parallel_nonpriv_loop
@@ -71,16 +67,15 @@ BENCH_ELEMENTS = 1024
 BENCH_PROCESSORS = 4
 ENGINES = ("scalar", "vector")
 LEVELS = ("bare", "telemetry", "monitors")
-#: Scenario rows: scalar vs vector on the cases the vector tier used to
-#: delegate wholesale — every-run-FAILs and dynamic self-scheduling.
-SCENARIOS = ("fail", "dynamic")
+#: Scenario rows: scalar vs vector on runs that FAIL every time.
+SCENARIOS = ("fail",)
 SCENARIO_ENGINES = ("scalar", "vector")
 
 
 def _bench_config(engine: str, **extra) -> RunConfig:
-    # Static-chunk for every matrix cell so the scalar/vector columns
-    # measure the same schedule (the scenario rows below cover
-    # the dynamic-schedule comparison explicitly).
+    # Static-chunk for every matrix cell: the vector tier delegates
+    # dynamic schedules to scalar, so only a static schedule compares
+    # the two tiers.
     return RunConfig(
         engine=engine,
         schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK),
@@ -143,19 +138,6 @@ def _make_scenario_workload(scenario: str):
         params = small_test_params(BENCH_PROCESSORS)
         schedule = ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK)
         expect_passed = False
-    elif scenario == "dynamic":
-        loop = parallel_nonpriv_loop(
-            "bench-dynamic", elements=BENCH_ELEMENTS,
-            iterations=BENCH_ITERATIONS,
-        )
-        # Contention off: the one machine shape whose emergent grab
-        # order the vector tier's scratch replay reproduces exactly.
-        params = dataclasses.replace(
-            small_test_params(BENCH_PROCESSORS),
-            contention=ContentionModel(enabled=False),
-        )
-        schedule = ScheduleSpec(policy=SchedulePolicy.DYNAMIC)
-        expect_passed = True
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
 

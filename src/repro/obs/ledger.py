@@ -35,7 +35,8 @@ pool tasks unchanged.
 
 Reads fail open: a record or index line that does not decode, or a
 record stored under another key, is treated as absent and reported
-with a :class:`LedgerWarning`; it never fails a run.
+with a :class:`LedgerWarning`; it never fails a run.  The next write
+under that key replaces such a record, so the corruption heals.
 
 :class:`ResultStore` is the same serve/record protocol held in memory
 for one process.  The figure layer passes one to every run it makes,
@@ -257,10 +258,15 @@ class RunLedger:
     def _write(self, key: str, kind: str, doc: Dict[str, Any],
                summary: Dict[str, Any]) -> bool:
         """Archive one record atomically; returns whether it was a
-        dedupe (the content-addressed record already existed)."""
+        dedupe (an intact record already holds the content address).
+
+        A record :meth:`lookup` rejects is overwritten with the fresh
+        one — the corruption heals on the next miss — without a second
+        index line (the index already names the key)."""
         path = self.record_path(key)
         with self._locked():
-            if os.path.exists(path):
+            exists = os.path.exists(path)
+            if exists and self._read(key)[0] is not None:
                 return True
             os.makedirs(os.path.dirname(path), exist_ok=True)
             record = {"key": key, "kind": kind, "schema": 1, **doc}
@@ -276,10 +282,11 @@ class RunLedger:
                 if os.path.exists(tmp):  # pragma: no cover - error path
                     os.unlink(tmp)
                 raise
-            line = {"key": key, "kind": kind,
-                    "written_at": round(time.time(), 3), **summary}
-            with open(self.index_path, "a") as fh:
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
+            if not exists:
+                line = {"key": key, "kind": kind,
+                        "written_at": round(time.time(), 3), **summary}
+                with open(self.index_path, "a") as fh:
+                    fh.write(json.dumps(line, sort_keys=True) + "\n")
         return False
 
     # -- record kinds ----------------------------------------------------
@@ -360,27 +367,31 @@ class RunLedger:
         return key, deduped
 
     # -- read paths ------------------------------------------------------
+    def _read(self, key: str) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
+        """``(record, problem)``: the intact record for ``key``, or None
+        with why the stored one was rejected (None when there is none)."""
+        path = self.record_path(key)
+        try:
+            with open(path) as fh:
+                record = json.load(fh)
+        except FileNotFoundError:
+            return None, None
+        except (OSError, ValueError) as exc:
+            return None, f"ledger record {path} is unreadable ({exc})"
+        if not isinstance(record, dict) or record.get("key") != key:
+            return None, f"ledger record {path} does not hold key {key[:12]}"
+        return record, None
+
     def lookup(self, key: str) -> Optional[Dict[str, Any]]:
         """Full record dict for ``key``, or None.
 
         Fails open: an empty, truncated or non-JSON record, or one whose
         stored key is not ``key``, is a miss plus a :class:`LedgerWarning`.
         """
-        path = self.record_path(key)
-        try:
-            with open(path) as fh:
-                record = json.load(fh)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as exc:
-            warnings.warn(f"ledger record {path} is unreadable ({exc}); "
-                          "treated as a miss", LedgerWarning, stacklevel=2)
-            return None
-        if not isinstance(record, dict) or record.get("key") != key:
-            warnings.warn(f"ledger record {path} does not hold key "
-                          f"{key[:12]}; treated as a miss", LedgerWarning,
+        record, problem = self._read(key)
+        if problem is not None:
+            warnings.warn(f"{problem}; treated as a miss", LedgerWarning,
                           stacklevel=2)
-            return None
         return record
 
     def serve(self, key: str):

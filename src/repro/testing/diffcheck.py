@@ -8,7 +8,9 @@ machine check of that contract: build a seeded random case (loop shape
 x schedule x protocol x injected dependence), run it through both
 engines, and compare the :func:`verdict_signature` — pass/fail, failure
 reason/element/iteration/processor, detection cycle and iteration
-assignment, with timing, tables and trace ordering left free.
+assignment, with timing, tables and trace ordering left free.  The
+vector tier hands dynamic-schedule cases to scalar whole, so on those
+the sweep checks its delegation path.
 
 :func:`conformance_signature` captures far more (timing surface,
 memory counters, the speculation element-state tables and the
@@ -41,12 +43,7 @@ import numpy as np
 
 from ..experiments.pool import PoolTask, run_tasks
 
-from ..params import (
-    ContentionModel,
-    MachineParams,
-    default_params,
-    small_test_params,
-)
+from ..params import MachineParams, default_params, small_test_params
 from ..runtime.driver import RunConfig, RunResult, run_hw
 from ..runtime.schedule import SchedulePolicy, ScheduleSpec, VirtualMode
 from ..trace.loop import ArraySpec, Loop
@@ -69,13 +66,10 @@ class CaseSpec:
     per_line_bits: bool
     protocol: ProtocolKind
     injected_dependence: bool
-    #: corpus variant this case belongs to (see :data:`VARIANTS`)
-    variant: str = "baseline"
 
     def describe(self) -> str:
-        tag = "" if self.variant == "baseline" else f"variant={self.variant} "
         return (
-            f"{tag}seed={self.seed} loop={self.loop.name!r} "
+            f"seed={self.seed} loop={self.loop.name!r} "
             f"procs={self.params.num_processors} "
             f"sched={self.schedule.policy.value}/chunk={self.schedule.chunk_iterations}"
             f"/{self.schedule.virtual_mode.value} "
@@ -143,22 +137,10 @@ def _random_body(
     return body, injected
 
 
-#: Corpus variants.  ``baseline`` is the original seeded corpus (its
-#: 0..N cases are byte-identical across releases — baselines depend on
-#: that).  ``dynamic-nocontention`` reshapes every case, *after* all
-#: RNG draws, into a dynamically self-scheduled run on a contention-free
-#: machine: the corpus the vector tier's dynamic-schedule replay must
-#: decide natively (zero delegations), since the grab order is then
-#: deterministic given the cost model.
-VARIANTS = ("baseline", "dynamic-nocontention")
-
-
-def build_case(seed: int, variant: str = "baseline") -> CaseSpec:
-    """Deterministically derive a full case from ``seed`` (and corpus
-    ``variant`` — every variant consumes the RNG identically, so a
-    seed's loop body is shared across variants)."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown diffcheck variant {variant!r}")
+def build_case(seed: int) -> CaseSpec:
+    """Deterministically derive a full case from ``seed`` (cases 0..N
+    are byte-identical across releases — the committed baselines depend
+    on that)."""
     rng = random.Random(seed)
     procs = rng.choice([2, 4])
     params = (
@@ -194,18 +176,6 @@ def build_case(seed: int, variant: str = "baseline") -> CaseSpec:
     ):
         timestamp_bits = rng.choice([2, 3])
     per_line_bits = protocol is ProtocolKind.NONPRIV and rng.random() < 0.1
-    if variant == "dynamic-nocontention":
-        # Reshape after every RNG draw so the loop body, machine size
-        # and protocol stay byte-identical to the baseline case.
-        params = dataclasses.replace(
-            params, contention=ContentionModel(enabled=False)
-        )
-        schedule = ScheduleSpec(
-            policy=SchedulePolicy.DYNAMIC,
-            chunk_iterations=schedule.chunk_iterations,
-            virtual_mode=VirtualMode.CHUNK,
-        )
-        timestamp_bits = None
     return CaseSpec(
         seed=seed,
         loop=loop,
@@ -215,7 +185,6 @@ def build_case(seed: int, variant: str = "baseline") -> CaseSpec:
         per_line_bits=per_line_bits,
         protocol=protocol,
         injected_dependence=injected,
-        variant=variant,
     )
 
 
@@ -372,10 +341,10 @@ def _mismatch_message(case: CaseSpec, scalar_sig: dict, other_sig: dict) -> str:
     )
 
 
-def check_seed(seed: int, variant: str = "baseline") -> CaseSpec:
+def check_seed(seed: int) -> CaseSpec:
     """Build, run and compare one seed; raise :class:`DiffMismatch`
     with a one-line repro on any disagreement."""
-    case = build_case(seed, variant)
+    case = build_case(seed)
     scalar_sig, other_sig = run_case(case)
     a, b = verdict_signature(scalar_sig), verdict_signature(other_sig)
     if a != b:
@@ -383,7 +352,7 @@ def check_seed(seed: int, variant: str = "baseline") -> CaseSpec:
     return case
 
 
-def seed_verdict(seed: int, variant: str = "baseline") -> Dict[str, object]:
+def seed_verdict(seed: int) -> Dict[str, object]:
     """One seed's sweep record, as plain data (pool-task friendly).
 
     Keys: ``seed``, ``describe``, ``conforms`` (the engines agree on
@@ -391,7 +360,7 @@ def seed_verdict(seed: int, variant: str = "baseline") -> Dict[str, object]:
     — on a mismatch only — ``message`` carrying the detail plus the
     one-line repro.
     """
-    case = build_case(seed, variant)
+    case = build_case(seed)
     scalar_sig, other_sig = run_case(case)
     a, b = verdict_signature(scalar_sig), verdict_signature(other_sig)
     verdict: Dict[str, object] = {
@@ -411,7 +380,6 @@ def run_seeds(
     timeout: Optional[float] = None,
     bus=None,
     profile=None,
-    variant: str = "baseline",
 ) -> List[Dict[str, object]]:
     """Sweep ``seeds`` through :func:`seed_verdict`, fanning out across
     ``jobs`` worker processes; verdicts come back in seed order and are
@@ -419,7 +387,7 @@ def run_seeds(
     ``repro.obs.spans.ProfileSession``) enables per-task profiling
     capture without changing any verdict."""
     tasks = [
-        PoolTask(seed_verdict, (seed, variant), label=f"seed:{seed}")
+        PoolTask(seed_verdict, (seed,), label=f"seed:{seed}")
         for seed in seeds
     ]
     return run_tasks(tasks, jobs=jobs, timeout=timeout, bus=bus,
@@ -440,13 +408,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--engine", choices=(CANDIDATE,), default=CANDIDATE,
         help="candidate engine compared against scalar on the "
         "verdict/failure-attribution signature",
-    )
-    parser.add_argument(
-        "--variant", choices=VARIANTS, default="baseline",
-        help="corpus variant: baseline keeps each seed's generated "
-        "schedule/machine; dynamic-nocontention reshapes every case "
-        "into dynamic self-scheduling on a contention-free machine "
-        "(the vector tier's replayed fast path)",
     )
     parser.add_argument(
         "--count", type=int, default=50,
@@ -481,9 +442,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.seed is not None
         else list(range(args.start, args.start + args.count))
     )
-    verdicts = run_seeds(
-        seeds, jobs=args.jobs, timeout=args.timeout, variant=args.variant,
-    )
+    verdicts = run_seeds(seeds, jobs=args.jobs, timeout=args.timeout)
     failures = 0
     for verdict in verdicts:
         if not verdict["conforms"]:
@@ -499,7 +458,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         doc = {
             "harness": "diffcheck",
             "engine": CANDIDATE,
-            "variant": args.variant,
             "signature_mode": "verdict",
             "seeds": [seeds[0], seeds[-1]] if seeds else [],
             "verdicts": {

@@ -3,7 +3,9 @@
 Sweeps seeded randomized cases through ``repro.testing.diffcheck``.
 The vector tier is held to the ``verdict`` signature (pass/fail,
 failure attribution, detection cycle, assignment) against the scalar
-reference over the static corpus and its dynamic-nocontention variant.
+reference over the fixed corpus.  It decides static schedules itself
+and hands every dynamic schedule to scalar whole; which path ran is
+pinned too, through the ``vector.delegations`` span counter.
 
 Any mismatch raises ``DiffMismatch`` whose message embeds the failing
 seed, engine and signature mode, and the one-line repro::
@@ -13,12 +15,15 @@ seed, engine and signature mode, and the one-line repro::
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
 from repro.obs import spans
 from repro.obs.spans import SpanProfiler
+from repro.params import ContentionModel
+from repro.runtime import vector
 from repro.runtime.schedule import SchedulePolicy
 from repro.testing import diffcheck
 from repro.testing.diffcheck import (
@@ -39,6 +44,18 @@ def _counter_total(prof: SpanProfiler, name: str) -> float:
     for span in prof.spans:
         total += span.get("counters", {}).get(name, 0)
     return total
+
+
+def _profiled_run_case(case):
+    """``run_case`` under a fresh span profiler: ``(profiler, scalar
+    signature, vector signature)``."""
+    prof = SpanProfiler()
+    spans.install(prof)
+    try:
+        scalar_sig, vector_sig = run_case(case)
+    finally:
+        spans.uninstall()
+    return prof, scalar_sig, vector_sig
 
 # 240 fixed seeds (the ISSUE floor is 200), swept in groups so a failure
 # pinpoints its block while collection stays cheap.
@@ -182,11 +199,37 @@ class TestThreeWayConformance:
     attribution, detection cycle, iteration assignment."""
 
     @pytest.mark.parametrize("base", [g * GROUP for g in range(GROUPS)])
-    def test_vector_verdict_sweep(self, base):
-        """The dynamic-nocontention corpus (``test_conformance_sweep``
-        covers the static one)."""
+    def test_vector_verdict_sweep(self, base, monkeypatch):
+        """The corpus's dynamic-schedule cases, each on its own
+        (contention-enabled) machine and on a contention-free copy: the
+        vector tier hands every one to scalar whole — one
+        ``dynamic-schedule`` delegation, before it keys an extraction —
+        so the verdicts agree."""
+
+        def no_key(*args):
+            raise AssertionError("dynamic schedule reached the extraction key")
+
+        monkeypatch.setattr(vector, "_memo_key", no_key)
         for seed in range(base, base + GROUP):
-            check_seed(seed, "dynamic-nocontention")
+            case = build_case(seed)
+            if case.schedule.policy is not SchedulePolicy.DYNAMIC:
+                continue
+            quiet = dataclasses.replace(
+                case,
+                params=dataclasses.replace(
+                    case.params, contention=ContentionModel(enabled=False)
+                ),
+            )
+            for c in (case, quiet):
+                prof, scalar_sig, vector_sig = _profiled_run_case(c)
+                reasons = [
+                    s["args"]["reason"] for s in prof.spans
+                    if s["name"] == "vector.delegate"
+                ]
+                assert reasons == ["dynamic-schedule"], c.describe()
+                assert verdict_signature(vector_sig) == verdict_signature(
+                    scalar_sig
+                ), c.describe()
 
     def test_three_way_agreement(self):
         """Repeat runs of one case: the scalar reference is
@@ -224,91 +267,55 @@ class TestThreeWayConformance:
 
 
 # ----------------------------------------------------------------------
-# The widened vector fast path: no silent delegation (ISSUE 10)
+# The vector fast path: no silent delegation
 # ----------------------------------------------------------------------
 class TestVectorFastPathCoverage:
-    """The vector tier must *decide* — not delegate — every corpus case
-    whose cost model it can reproduce exactly: all static-schedule runs
-    (PASS and FAIL) and all dynamic-schedule runs on a contention-free
-    direct-mapped machine (the ``dynamic-nocontention`` variant).  The
-    span counter proves the fast path ran."""
+    """The vector tier must *decide* — not delegate — every
+    static-schedule corpus case (PASS and FAIL), and delegate every
+    dynamic-schedule case exactly once.  The span counter proves which
+    path ran."""
 
     GROUP = 30
 
-    def _sweep(self, seeds, variant):
-        delegations = 0
-        fails = 0
+    def _sweep(self, seeds):
+        """Check every seed; return how many FAILs were decided natively."""
+        native_fails = 0
         for seed in seeds:
-            case = build_case(seed, variant)
-            if (
-                variant == "baseline"
-                and case.schedule.policy is SchedulePolicy.DYNAMIC
-            ):
-                # Baseline dynamic cases run on contention-enabled
-                # machines: the replay rightly declines those.
-                continue
-            prof = SpanProfiler()
-            spans.install(prof)
-            try:
-                scalar_sig, vector_sig = run_case(case)
-            finally:
-                spans.uninstall()
+            case = build_case(seed)
+            prof, scalar_sig, vector_sig = _profiled_run_case(case)
             assert verdict_signature(scalar_sig) == verdict_signature(
                 vector_sig
             ), case.describe()
-            delegations += _counter_total(prof, "vector.delegations")
-            if not scalar_sig["passed"]:
-                fails += 1
-        assert delegations == 0, (
-            f"vector tier silently delegated on {variant} corpus cases"
-        )
-        return fails
+            dynamic = case.schedule.policy is SchedulePolicy.DYNAMIC
+            delegations = _counter_total(prof, "vector.delegations")
+            assert delegations == (1 if dynamic else 0), case.describe()
+            if not dynamic and not scalar_sig["passed"]:
+                native_fails += 1
+        return native_fails
 
     @pytest.mark.parametrize("base", [0, 60, 120, 180])
     def test_static_corpus_decided_natively(self, base):
-        self._sweep(range(base, base + self.GROUP), "baseline")
-
-    @pytest.mark.parametrize("base", [0, 60, 120, 180])
-    def test_dynamic_nocontention_corpus_decided_natively(self, base):
-        self._sweep(range(base, base + self.GROUP), "dynamic-nocontention")
+        self._sweep(range(base, base + self.GROUP))
 
     def test_fail_cases_are_covered_without_delegation(self):
-        """The zero-delegation guarantee must include FAIL verdicts on
-        both corpus variants, or the localized-FAIL claim is hollow."""
-        fails = self._sweep(range(0, 60), "baseline")
-        assert fails > 0
-        fails = self._sweep(range(0, 60), "dynamic-nocontention")
-        assert fails > 0
-
-    def test_dynamic_variant_reshapes_only_the_schedule(self):
-        base = build_case(17, "baseline")
-        dyn = build_case(17, "dynamic-nocontention")
-        assert dyn.schedule.policy is SchedulePolicy.DYNAMIC
-        assert dyn.timestamp_bits is None
-        assert not dyn.params.contention.enabled
-        assert dyn.loop.iterations == base.loop.iterations
-        assert dyn.protocol == base.protocol
-        assert dyn.params.num_processors == base.params.num_processors
-        assert "variant=dynamic-nocontention" in dyn.describe()
+        """The zero-delegation guarantee must include FAIL verdicts, or
+        the localized-FAIL claim is hollow."""
+        assert self._sweep(range(0, 60)) > 0
 
     def test_extraction_memo_reuse_is_counted(self):
-        """Repeated runs of one sweep point reuse the extraction (and,
-        for dynamic schedules, the replayed assignment), counted by the
-        ``vector.extract_memo_hits`` / ``vector.replay_memo_hits``
-        span counters."""
-        from repro.runtime.vector import clear_extraction_memos
-
-        case = build_case(2, "dynamic-nocontention")
-        clear_extraction_memos()
+        """Repeated runs of one sweep point reuse the extraction,
+        counted by the ``vector.extract_memo_hits`` span counter."""
+        case = build_case(0)
+        assert case.schedule.policy is SchedulePolicy.STATIC_CHUNK
+        vector.clear_extraction_memos()
         prof = SpanProfiler()
         spans.install(prof)
         try:
-            run_case(case)  # cold: fills the memos
-            run_case(case)  # warm: must hit both
+            run_case(case)  # cold: fills the memo
+            run_case(case)  # warm: must hit it
         finally:
             spans.uninstall()
         assert _counter_total(prof, "vector.extract_memo_hits") >= 1
-        assert _counter_total(prof, "vector.replay_memo_hits") >= 1
         assert _counter_total(prof, "vector.delegations") == 0
 
 

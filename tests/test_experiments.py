@@ -208,9 +208,8 @@ class TestCLI:
         assert "overhead_pct" in doc["monitors"]
         assert doc["provenance"]["config_hash"]
         # The engine matrix covers both tiers at every level, plus the
-        # bare-only FAIL-heavy and dynamic scenario rows.
-        scenario_rows = {"scalar-fail", "vector-fail",
-                         "scalar-dynamic", "vector-dynamic"}
+        # bare-only FAIL-heavy scenario row.
+        scenario_rows = {"scalar-fail", "vector-fail"}
         assert set(doc["engines"]) == {"scalar", "vector"} | scenario_rows
         for engine, levels in doc["engines"].items():
             if engine in scenario_rows:
@@ -222,7 +221,7 @@ class TestCLI:
         assert doc["bare"] == doc["engines"]["scalar"]["bare"]
         out = capsys.readouterr().out
         assert "wrote" in out and "bare speedup: vector/scalar" in out
-        assert "fail" in out and "dynamic" in out
+        assert "fail" in out and "dynamic" not in out
 
     def test_cli_bench_parallel_cells(self, tmp_path, capsys):
         import json
@@ -234,8 +233,7 @@ class TestCLI:
                      "--bench-reps", "1", "--jobs", "2"]) == 0
         doc = json.loads(out_path.read_text())
         assert set(doc["engines"]) == {
-            "scalar", "vector",
-            "scalar-fail", "vector-fail", "scalar-dynamic", "vector-dynamic",
+            "scalar", "vector", "scalar-fail", "vector-fail",
         }
         for levels in doc["engines"].values():
             assert levels["bare"]["iters_per_s"] > 0
@@ -366,9 +364,10 @@ class TestBenchDiff:
         assert any("only in current" in line for line in report)
 
     def test_vanished_batch_cells_are_one_sided(self):
-        """Diffing the committed BENCH_PR10.json against a bench with
-        no batch column (scenario rows now scalar-*) reports the batch
-        cells as one-sided, never as regressions."""
+        """Diffing the committed BENCH_PR10.json against today's bench
+        layout — no batch column, no dynamic-schedule row, the FAIL row
+        now scalar-* — reports the vanished cells as one-sided, never
+        as regressions."""
         import copy
         import json
         from pathlib import Path
@@ -379,22 +378,19 @@ class TestBenchDiff:
         baseline = json.loads((root / "BENCH_PR10.json").read_text())
         current = copy.deepcopy(baseline)
         engines = current["engines"]
-        for name in ("batch", "batch-fail", "batch-dynamic"):
+        for name in ("batch", "batch-fail", "batch-dynamic", "vector-dynamic"):
             del engines[name]
-        # Scalar rows 10x slower than the vanished batch ones: a
+        # A scalar row 10x slower than the vanished batch one: a
         # one-sided cell must not be compared across engines.
-        for scenario in ("fail", "dynamic"):
-            row = baseline["engines"][f"batch-{scenario}"]["bare"]
-            engines[f"scalar-{scenario}"] = {
-                "bare": {"best_s": row["best_s"] * 10}
-            }
+        row = baseline["engines"]["batch-fail"]["bare"]
+        engines["scalar-fail"] = {"bare": {"best_s": row["best_s"] * 10}}
         report, regressions = compare(baseline, current)
         assert regressions == []
         for name in ("batch/bare", "batch/telemetry", "batch/monitors",
-                     "batch-fail/bare", "batch-dynamic/bare"):
+                     "batch-fail/bare", "batch-dynamic/bare",
+                     "vector-dynamic/bare"):
             assert f"  {name}: only in baseline document" in report
-        for name in ("scalar-fail/bare", "scalar-dynamic/bare"):
-            assert f"  {name}: only in current document" in report
+        assert "  scalar-fail/bare: only in current document" in report
 
 
 class TestCharts:

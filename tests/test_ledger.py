@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -347,6 +348,31 @@ class TestFailOpen:
         assert not [e for e in t.events if isinstance(e, LedgerHitEvent)]
         assert result_signature(again) == result_signature(first)
 
+    def test_corrupt_record_heals_on_the_next_miss(self, tmp_path):
+        ledger, params, config, first, key = self._archive_one(tmp_path)
+        path = ledger.record_path(key)
+        open(path, "w").close()
+        t = Telemetry()
+        with pytest.warns(LedgerWarning) as caught:
+            again = run_hw(_loop(), params,
+                           dataclasses.replace(config, telemetry=t))
+        assert len(caught) == 1
+        assert [e for e in t.events if isinstance(e, RunStartEvent)]
+        (write,) = [e for e in t.events if isinstance(e, LedgerWriteEvent)]
+        assert write.key == key and not write.deduped
+        assert os.path.getsize(path) > 0
+        assert [e["key"] for e in ledger.records()] == [key]
+        # The rewritten record serves the repeat, with no warning.
+        t = Telemetry()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LedgerWarning)
+            served = run_hw(_loop(), params,
+                            dataclasses.replace(config, telemetry=t))
+        assert [e for e in t.events if isinstance(e, LedgerHitEvent)]
+        assert not [e for e in t.events if isinstance(e, RunStartEvent)]
+        assert result_signature(served) == result_signature(again)
+        assert result_signature(served) == result_signature(first)
+
     def test_record_under_the_wrong_key_is_a_miss(self, tmp_path):
         ledger, params, config, first, key = self._archive_one(tmp_path)
         other = run_serial(_loop(), params, config)
@@ -525,8 +551,7 @@ class TestBenchHistory:
         doc = ledger.lookup(entry["key"])["bench"]
         assert doc == json.loads(out.read_text())
         assert set(entry["bare_iters_per_s"]) == {
-            "scalar", "vector",
-            "scalar-fail", "vector-fail", "scalar-dynamic", "vector-dynamic",
+            "scalar", "vector", "scalar-fail", "vector-fail",
         }
 
 
