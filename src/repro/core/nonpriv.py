@@ -446,8 +446,8 @@ def nonpriv_vector_verdict(
     the directory-table end state for a passing run: ``first`` is the
     processor of each element's earliest access in row order, ``priv``
     marks written elements and ``ronly`` elements read by two or more
-    processors.  (On FAIL the vector tier re-runs the case op-by-op for
-    exact attribution, so the fill arrays are unused.)
+    processors.  (On FAIL the vector tier delegates the whole run to the
+    scalar engine, so the fill arrays are unused.)
     """
     import numpy as np
 
@@ -468,17 +468,3 @@ def nonpriv_vector_verdict(
     ronly = (nproc >= 2) & ~written
     return passed, first, written, ronly
 
-
-def nonpriv_vector_fail_candidates(procs, elems, writes, length: int):
-    """Element indexes (meta-element indexes in the per-line-bit mode)
-    that fail the non-privatization test: touched by two or more
-    distinct processors and written at least once.  The scalar
-    protocol's FAIL is always attributed to one of these, so the vector
-    tier's exact-attribution replay cross-checks against this set."""
-    import numpy as np
-
-    from .accessbits import distinct_procs, scatter_or
-
-    nproc = distinct_procs(procs, elems, length)
-    written = scatter_or(elems[writes], length)
-    return np.nonzero((nproc >= 2) & written)[0]

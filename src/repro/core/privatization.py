@@ -701,19 +701,6 @@ def priv_vector_verdict(rf_rows, virts, elems, writes, length: int) -> bool:
     return not bool((max_r1st > min_w).any())
 
 
-def priv_vector_fail_candidates(rf_rows, virts, elems, writes, length: int):
-    """Element indexes whose ``MaxR1st > MinW`` mask is set — the set
-    the scalar privatization FAIL is always attributed to."""
-    import numpy as np
-
-    from .accessbits import scatter_max, scatter_min
-
-    big = np.int64(2**62)
-    max_r1st = scatter_max(virts[rf_rows], elems[rf_rows], length)
-    min_w = scatter_min(virts[writes], elems[writes], length, fill=int(big))
-    return np.nonzero(max_r1st > min_w)[0]
-
-
 def priv_vector_fill_tables(
     shared, privates, procs, rf_rows, virts, elems, writes, epochs, effs,
 ) -> None:
@@ -772,18 +759,6 @@ def priv_simple_vector_verdict(rf_rows, elems, writes, length: int) -> bool:
     any_r1st = scatter_or(elems[rf_rows], length)
     any_w = scatter_or(elems[writes], length)
     return not bool((any_r1st & any_w).any())
-
-
-def priv_simple_vector_fail_candidates(rf_rows, elems, writes, length: int):
-    """Element indexes with both a read-first event and a write — the
-    reduced-state FAIL set the scalar attribution always lands in."""
-    import numpy as np
-
-    from .accessbits import scatter_or
-
-    any_r1st = scatter_or(elems[rf_rows], length)
-    any_w = scatter_or(elems[writes], length)
-    return np.nonzero(any_r1st & any_w)[0]
 
 
 def priv_simple_vector_fill_tables(

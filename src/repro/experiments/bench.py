@@ -18,21 +18,14 @@ equally, and the result is a machine-readable JSON document::
         "scalar": {"bare": {"best_s": ..., "iters_per_s": ...},
                    "telemetry": {"best_s": ..., "overhead_pct": ...},
                    "monitors":  {"best_s": ..., "overhead_pct": ...}},
-        "vector": {...},
-        "scalar-fail": {"bare": {...}},   # scenario row, bare only
-        "vector-fail": {"bare": {...}}
+        "vector": {...}
       },
       "bare": {...}, "telemetry": {...}, "monitors": {...},   # scalar
       "provenance": {"config_hash": ..., "code_version": ...}
     }
 
-Beyond the matrix, one *scenario* row pins the vector tier's localized
-FAIL path against scalar: ``fail`` (the same workload with one injected
-cross-processor flow dependence, so every run aborts and re-executes
-serially).  Scenario rows are bare-level only and keyed as
-pseudo-engines (``vector-fail`` etc.) so ``benchdiff`` picks them up
-without a schema change.  There is no dynamic-schedule row: the vector
-tier delegates those runs to scalar, so it would time scalar twice.
+There are no failing-run or dynamic-schedule rows: the vector tier
+delegates those runs to scalar, so they would time scalar twice.
 
 The top-level ``bare``/``telemetry``/``monitors`` keys mirror the
 scalar engine for continuity with the PR3-era document shape.  The CI
@@ -59,7 +52,7 @@ from ..obs import MonitorSuite, Telemetry
 from ..params import small_test_params
 from ..runtime.driver import RunConfig, run_hw
 from ..runtime.schedule import SchedulePolicy, ScheduleSpec
-from ..workloads.synthetic import failing_loop, parallel_nonpriv_loop
+from ..workloads.synthetic import parallel_nonpriv_loop
 from .pool import PoolTask, run_tasks
 
 BENCH_ITERATIONS = 48
@@ -67,9 +60,6 @@ BENCH_ELEMENTS = 1024
 BENCH_PROCESSORS = 4
 ENGINES = ("scalar", "vector")
 LEVELS = ("bare", "telemetry", "monitors")
-#: Scenario rows: scalar vs vector on runs that FAIL every time.
-SCENARIOS = ("fail",)
-SCENARIO_ENGINES = ("scalar", "vector")
 
 
 def _bench_config(engine: str, **extra) -> RunConfig:
@@ -125,56 +115,6 @@ def _bench_cell_times(engine: str, level: str, reps: int) -> List[float]:
             gc.enable()
 
 
-def _make_scenario_workload(scenario: str):
-    """``(loop, params, config_factory, expect_passed)`` for a scenario row."""
-    if scenario == "fail":
-        # Inject the flow dependence across the static-chunk boundary
-        # between processors 1 and 2 (12 iterations per chunk on 4
-        # procs), so every run aborts and re-executes serially.
-        loop = failing_loop(
-            BENCH_ITERATIONS // 2, "bench-fail",
-            elements=BENCH_ELEMENTS, iterations=BENCH_ITERATIONS,
-        )
-        params = small_test_params(BENCH_PROCESSORS)
-        schedule = ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK)
-        expect_passed = False
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
-
-    def config(engine: str) -> RunConfig:
-        return RunConfig(engine=engine, schedule=schedule)
-
-    return loop, params, config, expect_passed
-
-
-def _run_scenario_cell(engine, scenario, loop, params, config, expect_passed):
-    result = run_hw(loop, params, config(engine))
-    # A wrong verdict means the cell is not measuring the path it
-    # claims to (e.g. the FAIL row silently passing).
-    assert result.passed is expect_passed, (engine, scenario)
-
-
-def _bench_scenario_times(engine: str, scenario: str, reps: int) -> List[float]:
-    """Pool task: warm up and time one scenario row, wholly in-worker."""
-    loop, params, config, expect_passed = _make_scenario_workload(scenario)
-    _run_scenario_cell(engine, scenario, loop, params, config, expect_passed)
-    was_enabled = gc.isenabled()
-    gc.collect()
-    gc.disable()
-    try:
-        return [
-            _measure(
-                lambda: _run_scenario_cell(
-                    engine, scenario, loop, params, config, expect_passed
-                )
-            )
-            for _ in range(reps)
-        ]
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 def run_bench(
     out: str = "BENCH_PR10.json",
     reps: int = 7,
@@ -198,34 +138,21 @@ def run_bench(
     cells: List[Tuple[str, str]] = [
         (engine, level) for engine in ENGINES for level in LEVELS
     ]
-    scenario_cells: List[Tuple[str, str]] = [
-        (engine, scenario)
-        for scenario in SCENARIOS
-        for engine in SCENARIO_ENGINES
-    ]
     if (jobs is not None and jobs != 1) or profile is not None:
         outputs = run_tasks(
             [
                 PoolTask(_bench_cell_times, cell + (reps,),
                          label=f"bench:{cell[0]}/{cell[1]}")
                 for cell in cells
-            ]
-            + [
-                PoolTask(_bench_scenario_times, cell + (reps,),
-                         label=f"bench:{cell[0]}-{cell[1]}")
-                for cell in scenario_cells
             ],
             jobs=jobs,
             profile=profile,
         )
-        times = dict(zip(cells + scenario_cells, outputs))
+        times = dict(zip(cells, outputs))
     else:
-        times = {cell: [] for cell in cells + scenario_cells}
-        scenarios = {s: _make_scenario_workload(s) for s in SCENARIOS}
+        times = {cell: [] for cell in cells}
         for engine, level in cells:  # warmup round, not measured
             _run_cell(engine, level, loop, params)
-        for engine, scenario in scenario_cells:
-            _run_scenario_cell(engine, scenario, *scenarios[scenario])
         # Collector pauses land randomly inside the short timed runs and
         # dominate rep-to-rep variance; pause collection while measuring
         # (the simulator allocates heavily but builds no cycles).
@@ -239,14 +166,6 @@ def run_bench(
                 for engine, level in cells:
                     times[(engine, level)].append(
                         _measure(lambda: _run_cell(engine, level, loop, params))
-                    )
-                for engine, scenario in scenario_cells:
-                    times[(engine, scenario)].append(
-                        _measure(
-                            lambda: _run_scenario_cell(
-                                engine, scenario, *scenarios[scenario]
-                            )
-                        )
                     )
         finally:
             if was_enabled:
@@ -268,13 +187,6 @@ def run_bench(
         engine: {level: _cell_doc(engine, level) for level in LEVELS}
         for engine in ENGINES
     }
-    for engine, scenario in scenario_cells:
-        engines_doc[f"{engine}-{scenario}"] = {
-            "bare": {
-                "best_s": best[(engine, scenario)],
-                "iters_per_s": BENCH_ITERATIONS / best[(engine, scenario)],
-            }
-        }
     provenance = run_hw(loop, params, _bench_config("scalar")).provenance
     doc = {
         "benchmark": "simulator-throughput",
@@ -311,12 +223,6 @@ def run_bench(
         "  bare speedup: "
         f"vector/scalar {best[('scalar', 'bare')] / best[('vector', 'bare')]:.2f}x"
     )
-    for scenario in SCENARIOS:
-        c, v = best[("scalar", scenario)], best[("vector", scenario)]
-        lines.append(
-            f"  {scenario:7s} scalar: {c * 1e3:8.1f} ms  "
-            f"vector: {v * 1e3:8.1f} ms  (vector/scalar {c / v:.2f}x)"
-        )
     if ledger is not None:
         key, deduped = ledger.record_bench(doc, label=out)
         lines.append(

@@ -75,9 +75,8 @@ class RunConfig:
     #: scenario) decides the loop with whole-phase numpy kernels
     #: (runtime/vector.py): verdict and failure-attribution conformant
     #: with scalar, but free to relax internal trace ordering and
-    #: timing.  Static schedules are decided natively (PASS and FAIL —
-    #: failing runs are localized and replayed on a plain machine for
-    #: exact attribution); dynamic schedules delegate the whole run to
+    #: timing.  Only static-schedule PASS runs are decided natively; a
+    #: kernel FAIL or a dynamic schedule delegates the whole run to
     #: scalar.  Pinned by ``repro.testing.diffcheck``.  ``"batch"`` is
     #: an alias that runs exactly the scalar path; only span and ledger
     #: labels tell the two apart.
@@ -639,22 +638,32 @@ def _hw_setup(
     return has_priv
 
 
-def _hw_attempt(
-    machine: Machine,
+def run_hw(
     loop: Loop,
     params: MachineParams,
-    config: RunConfig,
-    has_priv: bool,
-    phases: Dict[str, float],
-    breakdown: TimeBreakdown,
-):
-    """Backup + speculative doall on an already-set-up HW machine.
+    config: Optional[RunConfig] = None,
+    serial_result: Optional[RunResult] = None,
+) -> RunResult:
+    """Hardware speculative run-time parallelization (§3/§4)."""
+    config = config or RunConfig()
+    # Serve before the vector dispatch: the content address includes the
+    # engine, so a vector-keyed hit short-circuits even the delegation
+    # decision.
+    served = _ledger_serve(config, Scenario.HW, loop, params)
+    if served is not None:
+        return served
+    if _engine_of(config) == "vector":
+        from .vector import run_hw_vector
 
-    Runs the checkpoint phase and the speculative loop phase (aborted on
-    the first FAIL), commits the loop-end tag state and returns
-    ``(failure, detection_cycle, assignment)``.  Shared by :func:`run_hw`
-    and the vector tier's exact failure-attribution path."""
+        return run_hw_vector(loop, params, config, serial_result)
+    machine = Machine(params, with_speculation=True)
+    _apply_hook(config, machine)
+    _begin_run(machine, Scenario.HW, loop, config)
     assert machine.spec is not None
+    has_priv = _hw_setup(machine, loop, params, config)
+
+    phases: Dict[str, float] = {}
+    breakdown = TimeBreakdown()
     # Phase 1: checkpoint the modifiable shared arrays (§2.2.1).
     if loop.modified_arrays():
         breakdown.add(
@@ -697,43 +706,9 @@ def _hw_attempt(
 
     failure = machine.spec.controller.failure
     detection = None
-    if failure is not None and failure.detected_at is not None:
-        detection = failure.detected_at - loop_start
-    return failure, detection, assignment
-
-
-def run_hw(
-    loop: Loop,
-    params: MachineParams,
-    config: Optional[RunConfig] = None,
-    serial_result: Optional[RunResult] = None,
-) -> RunResult:
-    """Hardware speculative run-time parallelization (§3/§4)."""
-    config = config or RunConfig()
-    # Serve before the vector dispatch: the content address includes the
-    # engine, so a vector-keyed hit short-circuits even the delegation
-    # decision.
-    served = _ledger_serve(config, Scenario.HW, loop, params)
-    if served is not None:
-        return served
-    if _engine_of(config) == "vector":
-        from .vector import run_hw_vector
-
-        return run_hw_vector(loop, params, config, serial_result)
-    machine = Machine(params, with_speculation=True)
-    _apply_hook(config, machine)
-    _begin_run(machine, Scenario.HW, loop, config)
-    assert machine.spec is not None
-    has_priv = _hw_setup(machine, loop, params, config)
-
-    phases: Dict[str, float] = {}
-    breakdown = TimeBreakdown()
-    failure, detection, assignment = _hw_attempt(
-        machine, loop, params, config, has_priv, phases, breakdown
-    )
-    cost = params.cost
-
     if failure is not None:
+        if failure.detected_at is not None:
+            detection = failure.detected_at - loop_start
         machine.spec.disarm()
         breakdown = _append_failure_tail(
             machine, loop, phases, breakdown, serial_result, params,

@@ -25,18 +25,16 @@ detection cycle and iteration assignment.  It deliberately relaxes
 internal trace ordering and timing (wall clock, per-phase times, memory
 counters, directory end-state).
 
-Safety is by *delegation*, never by guessing.  A kernel FAIL is
-decided natively: the FAIL-localizing kernels name the candidate
-elements, and one op-by-op attempt on a plain machine (aborted at the
-first FAIL, exactly like scalar) supplies the exact attribution —
-reason, element, iteration, processor, detection cycle — which is
-cross-checked against the candidate set.  Dynamic self-scheduling is
-delegated wholesale to scalar: its iteration→processor map emerges
-from the simulated timing of the shared chunk queue, which only the
-op-by-op event loop reproduces.  Delegation is also the fallback when
-a localized replay disagrees with the kernels.  Kernel PASS implies
-scalar PASS (the kernels are conservative), so a vector PASS is always
-decided by the kernels alone.
+Safety is by *delegation*, never by guessing.  The tier decides PASS
+runs only: kernel PASS implies scalar PASS (the kernels are
+conservative), so a vector PASS is decided by the kernels alone.  Two
+kinds of run are handed wholesale to scalar before any machine is
+built.  A kernel FAIL (reason ``kernel-fail``) needs the exact
+attribution — reason, element, iteration, processor, detection cycle —
+and the §6.2 serial re-execution, which are op-by-op facts.  Dynamic
+self-scheduling (reason ``dynamic-schedule``) has an
+iteration→processor map that emerges from the simulated timing of the
+shared chunk queue, which only the op-by-op event loop reproduces.
 
 Extractions are memoized across sweep points: runs sharing the loop
 fingerprint, schedule, and per-iteration costs reuse the flat trace,
@@ -52,18 +50,16 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.nonpriv import nonpriv_vector_fail_candidates, nonpriv_vector_verdict
+from ..core.nonpriv import nonpriv_vector_verdict
 from ..core.privatization import (
-    priv_simple_vector_fail_candidates,
     priv_simple_vector_fill_tables,
     priv_simple_vector_verdict,
-    priv_vector_fail_candidates,
     priv_vector_fill_tables,
     priv_vector_verdict,
 )
 from ..core.accessbits import read_first_rows
 from ..obs import spans as obs_spans
-from ..obs.events import AbortEvent, LedgerWriteEvent, RestoreEvent
+from ..obs.events import LedgerWriteEvent
 from ..obs.provenance import run_provenance
 from ..params import MachineParams
 from ..sim.machine import Machine
@@ -78,7 +74,7 @@ from ..sim.stats import TimeBreakdown
 from ..trace.loop import Loop
 from ..trace.ops import AccessOp, ComputeOp, LocalOp
 from ..types import ProtocolKind, Scenario
-from .executor import loop_streams, private_copy_name, serial_stream
+from .executor import loop_streams, private_copy_name
 from .phases import chain, sparse_copy_ops
 from .schedule import SchedulePolicy, static_assignment
 
@@ -262,10 +258,6 @@ class _ArrayVerdict:
     np_first: Optional[np.ndarray] = None
     np_priv: Optional[np.ndarray] = None
     np_ronly: Optional[np.ndarray] = None
-    #: FAIL runs: element indexes that fail this array's test (meta
-    #: indexes in the per-line-bit mode) — the localization candidates
-    #: the exact replay's attribution must land in.
-    fail_elems: Optional[np.ndarray] = None
 
 
 def _meta_geometry(params: MachineParams, spec) -> Tuple[int, int]:
@@ -277,10 +269,7 @@ def _meta_geometry(params: MachineParams, spec) -> Tuple[int, int]:
 def _kernel_verdicts(
     loop: Loop, params: MachineParams, config, ext: _Extraction
 ) -> Dict[str, _ArrayVerdict]:
-    """Run the whole-phase verdict kernels for every array under test.
-
-    Always returns the full verdict dict; failing arrays carry their
-    FAIL-localization candidate elements in ``fail_elems``."""
+    """Run the whole-phase verdict kernels for every array under test."""
     out: Dict[str, _ArrayVerdict] = {}
     aid_of = {spec.name: i for i, spec in enumerate(loop.arrays)}
     for spec in loop.arrays_under_test():
@@ -300,28 +289,16 @@ def _kernel_verdicts(
             verdict = _ArrayVerdict(
                 passed, rows, np_first=first, np_priv=priv, np_ronly=ronly
             )
-            if not passed:
-                verdict.fail_elems = nonpriv_vector_fail_candidates(
-                    procs, elems, writes, length
-                )
         elif spec.protocol is ProtocolKind.PRIV:
             rf = read_first_rows(procs, ext.raws[rows], elems, writes)
             passed = priv_vector_verdict(
                 rf, ext.raws[rows], elems, writes, spec.length
             )
             verdict = _ArrayVerdict(passed, rows, rf_rows=rf)
-            if not passed:
-                verdict.fail_elems = priv_vector_fail_candidates(
-                    rf, ext.raws[rows], elems, writes, spec.length
-                )
         else:  # PRIV_SIMPLE
             rf = read_first_rows(procs, ext.raws[rows], elems, writes)
             passed = priv_simple_vector_verdict(rf, elems, writes, spec.length)
             verdict = _ArrayVerdict(passed, rows, rf_rows=rf)
-            if not passed:
-                verdict.fail_elems = priv_simple_vector_fail_candidates(
-                    rf, elems, writes, spec.length
-                )
         out[spec.name] = verdict
     return out
 
@@ -481,153 +458,6 @@ def _aggregate_streams(
     return {p: stream(p) for p in range(num)}
 
 
-def _serial_cost_estimate(loop: Loop, params: MachineParams) -> float:
-    """Analytic wall-cycle estimate of the §6.2 serial re-execution.
-
-    Walks :func:`serial_stream` once in plain python instead of through
-    the event engine, under the same deterministic cold-cache model the
-    vector PASS path uses (first touch of each line misses, stalling
-    only reads; all data local on the serial machine).  The vector
-    tier's wall clock is outside the verdict contract, so the estimate
-    replaces the dominant cost of a FAIL run — op-by-op serial
-    re-simulation — with one linear pass.
-    """
-    cost = params.cost
-    lat = params.latency
-    lb = params.line_bytes
-    eb = {spec.name: spec.elem_bytes for spec in loop.arrays}
-    busy = 0.0
-    stall = 0.0
-    seen = set()
-    for op in serial_stream(loop, cost):
-        cls = type(op)
-        if cls is AccessOp:
-            busy += 1.0
-            line = (op.array, (op.index * eb[op.array]) // lb)
-            if line not in seen:
-                seen.add(line)
-                if op.is_read:
-                    stall += lat.local_mem - 1
-        elif cls is ComputeOp:
-            busy += op.cycles
-        elif cls is LocalOp:
-            busy += 1.0
-        elif cls is IterBeginOp:
-            busy += op.overhead_cycles
-    return busy + stall
-
-
-def _close_run_spans(machine: Machine) -> None:
-    """Close the run/tier spans ``_begin_run`` opened, for paths that
-    abandon a machine without going through ``_finish_run``."""
-    prof = obs_spans.current()
-    handles = getattr(machine, "_prof_spans", None)
-    if prof is not None and handles is not None:
-        run_span, tier_span = handles
-        prof.end(tier_span)
-        prof.end(run_span)
-        machine._prof_spans = None
-
-
-def _fail_path(
-    loop: Loop,
-    params: MachineParams,
-    config,
-    serial_result,
-    candidates: Dict[str, set],
-):
-    """Exact failure attribution for a kernel FAIL, without wholesale
-    delegation.
-
-    The localization kernels have already named the candidate failing
-    elements per array.  One op-by-op attempt — the same
-    backup + speculative-doall code path :func:`run_hw` uses, aborted
-    at the first FAIL exactly like scalar — supplies the attribution
-    (reason, element, iteration, processor, detection cycle), which
-    must land in the candidate set; if it does not (or the attempt
-    unexpectedly passes), the run falls back to wholesale delegation.
-    The serial re-execution tail is costed analytically
-    (:func:`_serial_cost_estimate`) instead of re-simulated, and the
-    result is finished — provenance, telemetry, ledger — under the
-    caller's vector configuration.
-    """
-    from .driver import (
-        RunResult,
-        _apply_hook,
-        _begin_run,
-        _finish_run,
-        _hw_attempt,
-        _hw_setup,
-        _restore_streams,
-        _run_phase,
-    )
-
-    machine = Machine(params, with_speculation=True)
-    _apply_hook(config, machine)
-    _begin_run(machine, Scenario.HW, loop, config)
-    assert machine.spec is not None
-    has_priv = _hw_setup(machine, loop, params, config)
-
-    phases: Dict[str, float] = {}
-    breakdown = TimeBreakdown()
-    prof = obs_spans.current()
-    if prof is not None:
-        with prof.span("vector.fail_replay", cat="vector"):
-            failure, detection, assignment = _hw_attempt(
-                machine, loop, params, config, has_priv, phases, breakdown
-            )
-    else:
-        failure, detection, assignment = _hw_attempt(
-            machine, loop, params, config, has_priv, phases, breakdown
-        )
-
-    agreed = (
-        failure is not None
-        and failure.element is not None
-        and failure.element[1] in candidates.get(failure.element[0], ())
-    )
-    if not agreed:
-        machine.spec.disarm()
-        _close_run_spans(machine)
-        return _delegate(
-            loop, params, config, serial_result, reason="localize-disagree"
-        )
-
-    machine.spec.disarm()
-    bus = machine.bus
-    if bus is not None and bus.active:
-        bus.emit(
-            AbortEvent(machine.engine.now, failure.reason, detection_cycle=detection)
-        )
-    breakdown.add(
-        _run_phase(machine, "restore", _restore_streams(machine, loop), phases)
-    )
-    if bus is not None and bus.active:
-        bus.emit(RestoreEvent(machine.engine.now, phases.get("restore", 0.0)))
-    if serial_result is not None:
-        serial_wall = serial_result.wall
-        breakdown.add(serial_result.breakdown)
-    else:
-        serial_wall = _serial_cost_estimate(loop, params)
-    phases["serial-reexec"] = serial_wall
-
-    result = RunResult(
-        scenario=Scenario.HW,
-        loop_name=loop.name,
-        num_processors=params.num_processors,
-        passed=False,
-        wall=machine.engine.now + serial_wall,
-        breakdown=breakdown,
-        phases=phases,
-        failure=failure,
-        detection_cycle=detection,
-        spec_messages=machine.spec.stats.messages,
-        mem=machine.memsys.stats,
-        assignment=assignment,
-    )
-    return _finish_run(machine, config, params, result, loop)
-
-
 def _delegate(loop, params, config, serial_result, reason):
     """Re-run the whole case on the scalar engine, re-stamping
     provenance so the result still names the configuration the caller
@@ -716,12 +546,11 @@ def run_hw_vector(
     else:
         verdicts = _kernel_verdicts(loop, params, config, ext)
 
-    failing = {name: v for name, v in verdicts.items() if not v.passed}
-    if failing:
-        candidates = {
-            name: {int(e) for e in v.fail_elems} for name, v in failing.items()
-        }
-        return _fail_path(loop, params, config, serial_result, candidates)
+    if not all(v.passed for v in verdicts.values()):
+        # Attribution (reason, element, iteration, processor, detection
+        # cycle) and the serial re-execution are op-by-op facts.
+        return _delegate(loop, params, config, serial_result,
+                         reason="kernel-fail")
 
     machine = Machine(params, with_speculation=True)
     _apply_hook(config, machine)

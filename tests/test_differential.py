@@ -3,9 +3,10 @@
 Sweeps seeded randomized cases through ``repro.testing.diffcheck``.
 The vector tier is held to the ``verdict`` signature (pass/fail,
 failure attribution, detection cycle, assignment) against the scalar
-reference over the fixed corpus.  It decides static schedules itself
-and hands every dynamic schedule to scalar whole; which path ran is
-pinned too, through the ``vector.delegations`` span counter.
+reference over the fixed corpus.  It decides static-schedule PASS runs
+itself and hands every kernel FAIL and every dynamic schedule to
+scalar whole; which path ran is pinned too, through the
+``vector.delegate`` spans and the ``vector.delegations`` counter.
 
 Any mismatch raises ``DiffMismatch`` whose message embeds the failing
 seed, engine and signature mode, and the one-line repro::
@@ -271,35 +272,47 @@ class TestThreeWayConformance:
 # ----------------------------------------------------------------------
 class TestVectorFastPathCoverage:
     """The vector tier must *decide* — not delegate — every
-    static-schedule corpus case (PASS and FAIL), and delegate every
-    dynamic-schedule case exactly once.  The span counter proves which
-    path ran."""
+    static-schedule PASS in the corpus, and delegate every static FAIL
+    (``kernel-fail``) and every dynamic-schedule case
+    (``dynamic-schedule``) exactly once.  The ``vector.delegate`` spans
+    prove which path ran."""
 
     GROUP = 30
 
     def _sweep(self, seeds):
-        """Check every seed; return how many FAILs were decided natively."""
-        native_fails = 0
+        """Check every seed; return how many static FAILs delegated."""
+        static_fails = 0
         for seed in seeds:
             case = build_case(seed)
             prof, scalar_sig, vector_sig = _profiled_run_case(case)
             assert verdict_signature(scalar_sig) == verdict_signature(
                 vector_sig
             ), case.describe()
-            dynamic = case.schedule.policy is SchedulePolicy.DYNAMIC
-            delegations = _counter_total(prof, "vector.delegations")
-            assert delegations == (1 if dynamic else 0), case.describe()
-            if not dynamic and not scalar_sig["passed"]:
-                native_fails += 1
-        return native_fails
+            reasons = [
+                s["args"]["reason"] for s in prof.spans
+                if s["name"] == "vector.delegate"
+            ]
+            assert _counter_total(prof, "vector.delegations") == len(reasons)
+            if case.schedule.policy is SchedulePolicy.DYNAMIC:
+                assert reasons == ["dynamic-schedule"], case.describe()
+            elif not scalar_sig["passed"]:
+                assert reasons == ["kernel-fail"], case.describe()
+                static_fails += 1
+            else:
+                assert reasons == [], case.describe()
+            if reasons:
+                # A delegated run is a scalar run: the full signature
+                # matches, not just the verdict.
+                assert vector_sig == scalar_sig, case.describe()
+        return static_fails
 
     @pytest.mark.parametrize("base", [0, 60, 120, 180])
     def test_static_corpus_decided_natively(self, base):
         self._sweep(range(base, base + self.GROUP))
 
     def test_fail_cases_are_covered_without_delegation(self):
-        """The zero-delegation guarantee must include FAIL verdicts, or
-        the localized-FAIL claim is hollow."""
+        """Each static FAIL delegates once with ``kernel-fail``: the
+        corpus must contain some, or that guarantee is hollow."""
         assert self._sweep(range(0, 60)) > 0
 
     def test_extraction_memo_reuse_is_counted(self):

@@ -27,12 +27,18 @@ import pytest
 from repro.obs import spans
 from repro.obs.spans import SpanProfiler
 from repro.params import ContentionModel, small_test_params
-from repro.runtime.driver import RunConfig, run_hw
+from repro.runtime import vector as vector_tier
+from repro.runtime.driver import RunConfig, run_hw, run_serial
 from repro.runtime.schedule import SchedulePolicy, ScheduleSpec, VirtualMode
-from repro.testing.diffcheck import conformance_signature, verdict_signature
+from repro.testing.diffcheck import (
+    conformance_signature,
+    result_signature,
+    verdict_signature,
+)
 from repro.trace.loop import ArraySpec, Loop
 from repro.trace.ops import compute, read, write
 from repro.types import ProtocolKind
+from repro.workloads.synthetic import failing_loop
 
 ENGINES = ["scalar", "batch", "vector"]
 
@@ -153,7 +159,7 @@ class TestLoopEndDirtyLineCommit:
 
 
 # ----------------------------------------------------------------------
-# Exact FAIL attribution through the vector tier's localized replay
+# Exact FAIL attribution through the vector tier's delegation to scalar
 # ----------------------------------------------------------------------
 def _flow_dep_loop(protocol: ProtocolKind) -> Loop:
     """Every iteration reads A[5] before writing it, so *any* split of
@@ -183,26 +189,34 @@ def _attribution(result):
     [ProtocolKind.NONPRIV, ProtocolKind.PRIV, ProtocolKind.PRIV_SIMPLE],
 )
 class TestVectorFailAttribution:
-    """The vector tier's FAIL-localizing kernels + single op-by-op
-    attempt must reproduce scalar's exact attribution — reason, element,
-    iteration, processor, detection cycle — without wholesale
-    delegation on a static schedule; a dynamic schedule is delegated
-    whole (the spans prove which path ran)."""
+    """A vector FAIL must carry scalar's exact attribution — reason,
+    element, iteration, processor, detection cycle.  The tier gets it by
+    handing the whole run to scalar once: ``kernel-fail`` on a static
+    schedule, ``dynamic-schedule`` on a dynamic one (the spans prove
+    which path ran)."""
 
-    def _run_vector_counted(self, loop, config):
+    def _run_vector_delegations(self, loop, params, config):
+        """``(result, delegate reasons)`` of one profiled vector run,
+        which must delegate before the vector tier builds a machine."""
+
+        def no_machine(*args, **kwargs):
+            raise AssertionError("vector tier built a machine for a FAIL")
+
         prof = SpanProfiler()
         spans.install(prof)
         try:
-            result = run_hw(loop, small_test_params(2), dataclasses.replace(
-                config, engine="vector"
-            ))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(vector_tier, "Machine", no_machine)
+                result = run_hw(
+                    loop, params, dataclasses.replace(config, engine="vector")
+                )
         finally:
             spans.uninstall()
-        delegations = prof.counters.get("vector.delegations", 0) + sum(
-            s.get("counters", {}).get("vector.delegations", 0)
-            for s in prof.spans
-        )
-        return result, delegations
+        reasons = [
+            s["args"]["reason"] for s in prof.spans
+            if s["name"] == "vector.delegate"
+        ]
+        return result, reasons
 
     def test_static_fail_attribution_matches_scalar(self, protocol):
         loop = _flow_dep_loop(protocol)
@@ -217,11 +231,13 @@ class TestVectorFailAttribution:
         scalar = run_hw(loop, small_test_params(2), config)
         assert not scalar.passed
         assert scalar.failure.element == ("A", 5)
-        vector, delegations = self._run_vector_counted(loop, config)
+        vector, reasons = self._run_vector_delegations(
+            loop, small_test_params(2), config
+        )
         assert not vector.passed
         assert _attribution(vector) == _attribution(scalar)
         assert vector.assignment == scalar.assignment
-        assert delegations == 0, "FAIL must be localized, not delegated"
+        assert reasons == ["kernel-fail"]
 
     def test_dynamic_nocontention_fail_attribution_matches_scalar(self, protocol):
         loop = _flow_dep_loop(protocol)
@@ -235,18 +251,7 @@ class TestVectorFailAttribution:
         )
         scalar = run_hw(loop, params, config)
         assert not scalar.passed
-        prof = SpanProfiler()
-        spans.install(prof)
-        try:
-            vector = run_hw(
-                loop, params, dataclasses.replace(config, engine="vector")
-            )
-        finally:
-            spans.uninstall()
-        reasons = [
-            s["args"]["reason"] for s in prof.spans
-            if s["name"] == "vector.delegate"
-        ]
+        vector, reasons = self._run_vector_delegations(loop, params, config)
         assert not vector.passed
         assert _attribution(vector) == _attribution(scalar)
         # The emergent (aborted) grab order is part of the attribution.
@@ -254,3 +259,24 @@ class TestVectorFailAttribution:
         # Only the event loop knows the grab order: one wholesale
         # delegation, even on a contention-free machine.
         assert reasons == ["dynamic-schedule"]
+
+
+@pytest.mark.parametrize("with_serial", [False, True])
+def test_vector_static_fail_is_a_scalar_run(with_serial):
+    """Regression: a static-schedule vector FAIL run without a
+    ``serial_result`` used to cost the serial re-execution with an
+    estimate that never entered the breakdown, so Busy+Sync+Mem (34,640
+    cycles) fell short of the wall clock (58,395).  The run is now a
+    scalar run, so the whole result equals scalar's."""
+    loop = failing_loop(24, elements=1024, iterations=48)
+    params = small_test_params(4)
+    config = RunConfig(schedule=ScheduleSpec(policy=SchedulePolicy.STATIC_CHUNK))
+    serial = run_serial(loop, params) if with_serial else None
+    scalar = run_hw(loop, params, config, serial)
+    vector_run = run_hw(
+        loop, params, dataclasses.replace(config, engine="vector"), serial
+    )
+    assert not vector_run.passed
+    b = vector_run.breakdown
+    assert b.busy + b.sync + b.mem == vector_run.wall
+    assert result_signature(vector_run) == result_signature(scalar)

@@ -207,21 +207,18 @@ class TestCLI:
         assert "overhead_pct" in doc["telemetry"]
         assert "overhead_pct" in doc["monitors"]
         assert doc["provenance"]["config_hash"]
-        # The engine matrix covers both tiers at every level, plus the
-        # bare-only FAIL-heavy scenario row.
-        scenario_rows = {"scalar-fail", "vector-fail"}
-        assert set(doc["engines"]) == {"scalar", "vector"} | scenario_rows
-        for engine, levels in doc["engines"].items():
-            if engine in scenario_rows:
-                assert set(levels) == {"bare"}
-            else:
-                assert set(levels) == {"bare", "telemetry", "monitors"}
+        # The engine matrix covers both tiers at every level; the
+        # vector tier delegates failing and dynamic runs to scalar, so
+        # there are no scenario rows.
+        assert set(doc["engines"]) == {"scalar", "vector"}
+        for levels in doc["engines"].values():
+            assert set(levels) == {"bare", "telemetry", "monitors"}
             assert levels["bare"]["iters_per_s"] > 0
         # Top level mirrors the scalar engine (PR3-era shape).
         assert doc["bare"] == doc["engines"]["scalar"]["bare"]
         out = capsys.readouterr().out
         assert "wrote" in out and "bare speedup: vector/scalar" in out
-        assert "fail" in out and "dynamic" not in out
+        assert "fail" not in out and "dynamic" not in out
 
     def test_cli_bench_parallel_cells(self, tmp_path, capsys):
         import json
@@ -232,9 +229,7 @@ class TestCLI:
         assert main(["bench", "--bench-out", str(out_path),
                      "--bench-reps", "1", "--jobs", "2"]) == 0
         doc = json.loads(out_path.read_text())
-        assert set(doc["engines"]) == {
-            "scalar", "vector", "scalar-fail", "vector-fail",
-        }
+        assert set(doc["engines"]) == {"scalar", "vector"}
         for levels in doc["engines"].values():
             assert levels["bare"]["iters_per_s"] > 0
 
@@ -365,9 +360,9 @@ class TestBenchDiff:
 
     def test_vanished_batch_cells_are_one_sided(self):
         """Diffing the committed BENCH_PR10.json against today's bench
-        layout — no batch column, no dynamic-schedule row, the FAIL row
-        now scalar-* — reports the vanished cells as one-sided, never
-        as regressions."""
+        layout — no batch column and no scenario rows — reports the
+        vanished cells as one-sided, never as regressions; a cell only
+        in the current document is not compared across engines."""
         import copy
         import json
         from pathlib import Path
@@ -378,7 +373,8 @@ class TestBenchDiff:
         baseline = json.loads((root / "BENCH_PR10.json").read_text())
         current = copy.deepcopy(baseline)
         engines = current["engines"]
-        for name in ("batch", "batch-fail", "batch-dynamic", "vector-dynamic"):
+        for name in ("batch", "batch-fail", "vector-fail", "batch-dynamic",
+                     "vector-dynamic"):
             del engines[name]
         # A scalar row 10x slower than the vanished batch one: a
         # one-sided cell must not be compared across engines.
@@ -387,8 +383,8 @@ class TestBenchDiff:
         report, regressions = compare(baseline, current)
         assert regressions == []
         for name in ("batch/bare", "batch/telemetry", "batch/monitors",
-                     "batch-fail/bare", "batch-dynamic/bare",
-                     "vector-dynamic/bare"):
+                     "batch-fail/bare", "vector-fail/bare",
+                     "batch-dynamic/bare", "vector-dynamic/bare"):
             assert f"  {name}: only in baseline document" in report
         assert "  scalar-fail/bare: only in current document" in report
 
