@@ -68,11 +68,13 @@ class NonPrivProtocol:
     # path never snapshots table state)
     # ------------------------------------------------------------------
     def _dir_snapshot(self, name: str, index: int):
+        # ``ndarray.item`` hands back the Python int/bool directly,
+        # without the numpy scalar ``int(a[i])`` would build first.
         table = self._tables[name]
         return (
-            int(table.first[index]),
-            bool(table.priv[index]),
-            bool(table.ronly[index]),
+            table.first.item(index),
+            table.priv.item(index),
+            table.ronly.item(index),
         )
 
     def _emit_dir_update(

@@ -104,7 +104,7 @@ class PrivProtocol:
     # ------------------------------------------------------------------
     def _shared_snapshot(self, name: str, index: int):
         table = self._shared[name]
-        return int(table.max_r1st[index]), table.min_w_of(index)
+        return table.max_r1st.item(index), table.min_w_of(index)
 
     def _emit_shared_update(
         self, bus, now: float, name: str, index: int, proc: int,

@@ -5,7 +5,8 @@ Runs a battery of speculative executions with the invariant monitors of
 
 * clean workloads for every protocol (non-privatization, full
   privatization, reduced privatization) — expected to pass with zero
-  invariant violations;
+  invariant violations, and with the monitors having checked at least
+  one event (a clean run they never saw proves nothing);
 * every injected dependence kind (flow/anti/output) against every
   protocol — each *detected* abort must come with a forensic report
   whose minimized reproducer still aborts.  Kinds a protocol legally
@@ -88,13 +89,19 @@ def run_doctor(
         )
         result = run_hw(loop, params, RunConfig(schedule=schedule, monitors=suite))
         verdict = "FAIL" if not result.passed else "pass"
+        checked = sum(result.monitor_events.values())
         lines.append(
             f"  [{label}] {loop.name}: {verdict}, "
-            f"{len(result.violations)} invariant violation(s)"
+            f"{len(result.violations)} invariant violation(s), "
+            f"{checked} event(s) checked"
         )
         for violation in result.violations:
             problems.append(f"{loop.name}: {violation}")
             lines.append(f"    !! {violation}")
+        if result.passed and not result.violations and checked == 0:
+            # A clean verdict from monitors that saw nothing is no
+            # evidence: the events bypassed the bus.
+            problems.append(f"{loop.name}: the monitors checked zero events")
         if result.passed == expect_abort:
             problems.append(
                 f"{loop.name}: expected "

@@ -61,6 +61,8 @@ def run_result_to_dict(result: RunResult) -> Dict[str, Any]:
         out["assignment"] = [list(its) for its in result.assignment]
     if result.violations is not None:
         out["violations"] = [v.to_dict() for v in result.violations]
+    if result.monitor_events is not None:
+        out["monitor_events"] = dict(result.monitor_events)
     if result.forensics is not None:
         out["forensics"] = result.forensics.to_dict()
     if result.lrpd is not None:
@@ -105,7 +107,7 @@ def run_result_from_dict(doc: Dict[str, Any]) -> RunResult:
     back as ``None`` (their live types hold event history and machine
     references that plain JSON cannot carry).  Everything else —
     provenance, failure attribution, LRPD outcome, memory counters,
-    realized assignment — reconstructs exactly.
+    realized assignment, monitor coverage — reconstructs exactly.
     """
     failure = None
     if "failure" in doc:
@@ -155,6 +157,9 @@ def run_result_from_dict(doc: Dict[str, Any]) -> RunResult:
             [list(its) for its in doc["assignment"]]
             if "assignment" in doc
             else None
+        ),
+        monitor_events=(
+            dict(doc["monitor_events"]) if "monitor_events" in doc else None
         ),
     )
 

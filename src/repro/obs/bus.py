@@ -10,7 +10,9 @@ Design constraints (in priority order):
    events (phases, runs) does not pay event construction per access.
 2. **Dispatch is exact-type.**  ``subscribe(AccessEvent, fn)`` receives
    :class:`~repro.obs.events.AccessEvent` instances only; ``subscribe(None,
-   fn)`` receives every event.  No MRO walking on the hot path.
+   fn)`` receives every event.  No MRO walking on the hot path: each
+   event type has one precomputed route (its exact-type subscribers,
+   then the catch-all ones), rebuilt on every (un)subscribe.
 3. **Subscribers are plain callables** taking the event; exceptions
    propagate (a broken subscriber should fail the run loudly, not drop
    telemetry silently).
@@ -18,7 +20,7 @@ Design constraints (in priority order):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Type
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Type
 
 from .events import (
     AccessEvent,
@@ -38,6 +40,11 @@ class EventBus:
     def __init__(self) -> None:
         self._subs: Dict[type, List[Callable[[Event], None]]] = {}
         self._all: List[Callable[[Event], None]] = []
+        #: delivery order per event type: exact-type subscribers, then
+        #: catch-all ones; types with no exact subscriber use
+        #: ``_all_route``.
+        self._routes: Dict[type, Tuple[Callable[[Event], None], ...]] = {}
+        self._all_route: Tuple[Callable[[Event], None], ...] = ()
         #: any subscriber at all?  Emission sites guard event
         #: *construction* with this, so an attached-but-unsubscribed bus
         #: (e.g. telemetry wired up before recorders register) costs no
@@ -83,14 +90,18 @@ class EventBus:
         self._recompute()
 
     def _recompute(self) -> None:
-        self.active = bool(self._all) or any(
-            bool(subs) for subs in self._subs.values()
-        )
-        any_sub = bool(self._all)
-        self.wants_access = any_sub or bool(self._subs.get(AccessEvent))
-        self.wants_dir = any_sub or bool(self._subs.get(DirTransitionEvent))
+        self._all_route = tuple(self._all)
+        routes = self._routes = {
+            event_type: tuple(subs) + self._all_route
+            for event_type, subs in self._subs.items()
+            if subs
+        }
+        any_sub = bool(self._all_route)
+        self.active = any_sub or bool(routes)
+        self.wants_access = any_sub or AccessEvent in routes
+        self.wants_dir = any_sub or DirTransitionEvent in routes
         self.wants_spec = any_sub or any(
-            bool(self._subs.get(t))
+            t in routes
             for t in (
                 NonPrivDirUpdateEvent,
                 PrivDirUpdateEvent,
@@ -106,11 +117,7 @@ class EventBus:
     def emit(self, event: Event) -> None:
         """Deliver ``event`` to its exact-type subscribers, then to the
         catch-all subscribers."""
-        subs = self._subs.get(type(event))
-        if subs:
-            for fn in subs:
-                fn(event)
-        for fn in self._all:
+        for fn in self._routes.get(type(event), self._all_route):
             fn(event)
 
     # ------------------------------------------------------------------

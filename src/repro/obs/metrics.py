@@ -77,8 +77,9 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        bucket = max(0, int(value).bit_length() - 1) if value >= 1 else 0
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
+        bucket = int(value).bit_length() - 1 if value >= 1 else 0
+        buckets = self.buckets
+        buckets[bucket] = buckets.get(bucket, 0) + 1
 
     @property
     def mean(self) -> float:
@@ -127,6 +128,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._counters: Dict[str, Dict[LabelKey, Counter]] = {}
         self._histograms: Dict[str, Dict[LabelKey, Histogram]] = {}
+        self._memos: Dict[str, Dict[tuple, Any]] = {}
 
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels: Any) -> Counter:
@@ -172,9 +174,18 @@ class MetricsRegistry:
     def names(self) -> List[str]:
         return sorted(set(self._counters) | set(self._histograms))
 
+    def memo(self, name: str) -> Dict[tuple, Any]:
+        """A cache of ``name``'s live series, keyed by whatever raw label
+        tuple the caller builds.  :meth:`clear` empties every memo in
+        place, so a holder never increments a series the registry has
+        dropped."""
+        return self._memos.setdefault(name, {})
+
     def clear(self) -> None:
         self._counters.clear()
         self._histograms.clear()
+        for memo in self._memos.values():
+            memo.clear()
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:
@@ -237,6 +248,10 @@ class MetricsRegistry:
         }
 
 
+#: array label of an address outside every allocated array
+UNKNOWN_ARRAY = "<unknown>"
+
+
 class MetricsCollector:
     """Bus subscriber that populates a :class:`MetricsRegistry`.
 
@@ -252,6 +267,23 @@ class MetricsCollector:
 
     ``space`` (an :class:`~repro.address.AddressSpace`) resolves access
     addresses to array names; unset, arrays are labeled ``<unknown>``.
+
+    The four per-event series keep a memo of their live metric objects
+    (:meth:`MetricsRegistry.memo`) keyed by a plain tuple of the raw
+    labels, so an event costs one dict probe and an increment; the
+    registry's labeled get-or-create runs once per new series.  An
+    access's labels also fix its ``mem.stall_cycles`` series, so one
+    memo entry holds both.  Enum labels enter the key as their
+    ``_value_`` string: the ``.value`` the labels carry, read without
+    the enum descriptor and hashed in C rather than through
+    ``Enum.__hash__``.
+
+    Array names come from a page -> (name, end) cache, reset whenever
+    ``space`` is set.  ``AddressSpace.allocate`` starts every array on a
+    fresh page, so the only array that can hold an address is the one
+    holding its page's first byte, and the address belongs to it exactly
+    when it lies below that array's end: the answer
+    ``AddressSpace.find`` gives.
     """
 
     def __init__(
@@ -262,6 +294,19 @@ class MetricsCollector:
         self.registry = registry or MetricsRegistry()
         self.space = space
         self.phase = ""
+        self._accesses = self.registry.memo("mem.accesses")
+        self._messages = self.registry.memo("spec.messages")
+        self._transitions = self.registry.memo("dir.transitions")
+
+    @property
+    def space(self):
+        return self._space
+
+    @space.setter
+    def space(self, space) -> None:
+        self._space = space
+        self._page_bytes = space.page_bytes if space is not None else 1
+        self._pages: Dict[int, Tuple[str, int]] = {}
 
     # ------------------------------------------------------------------
     def subscribe(self, bus: EventBus) -> "MetricsCollector":
@@ -275,39 +320,64 @@ class MetricsCollector:
         return self
 
     # ------------------------------------------------------------------
-    def _array_of(self, addr: int) -> str:
-        if self.space is None:
-            return "<unknown>"
-        decl = self.space.find(addr)
-        return decl.name if decl is not None else "<unknown>"
+    def _page_entry(self, page: int) -> Tuple[str, int]:
+        """``(name, end)`` of the array that may hold addresses of
+        ``page``; ``end`` 0 labels the whole page ``<unknown>``."""
+        space = self._space
+        decl = space.find(page * self._page_bytes) if space is not None else None
+        if decl is None:
+            # Past every array (or no space): a later allocation may
+            # still claim the page, so the answer is not cached.
+            return UNKNOWN_ARRAY, 0
+        entry = self._pages[page] = (decl.name, decl.end)
+        return entry
 
     def _on_access(self, e: AccessEvent) -> None:
-        array = self._array_of(e.addr)
-        self.registry.counter(
-            "mem.accesses",
-            phase=self.phase,
-            proc=e.proc,
-            array=array,
-            kind=e.kind.value,
-            level=e.level.value,
-        ).inc()
-        self.registry.histogram(
-            "mem.stall_cycles", phase=self.phase, array=array
-        ).observe(max(0, e.latency - 1))
+        addr = e.addr
+        page = addr // self._page_bytes
+        entry = self._pages.get(page)
+        if entry is None:
+            entry = self._page_entry(page)
+        array = entry[0] if addr < entry[1] else UNKNOWN_ARRAY
+        phase = self.phase
+        key = (phase, e.proc, array, e.kind._value_, e.level._value_)
+        series = self._accesses.get(key)
+        if series is None:
+            # Counter first, then histogram: the registry's get-or-create
+            # order, hence its series order, is that of one call each
+            # per event.
+            series = self._accesses[key] = (
+                self.registry.counter(
+                    "mem.accesses",
+                    phase=phase, proc=key[1], array=array, kind=key[3],
+                    level=key[4],
+                ),
+                self.registry.histogram(
+                    "mem.stall_cycles", phase=phase, array=array
+                ),
+            )
+        series[0].value += 1
+        latency = e.latency
+        series[1].observe(latency - 1 if latency > 1 else 0)
 
     def _on_message(self, e: ProtocolMessageEvent) -> None:
-        self.registry.counter(
-            "spec.messages",
-            phase=self.phase,
-            label=e.label,
-            array=e.array,
-            proc=e.proc,
-        ).inc()
+        key = (self.phase, e.label, e.array, e.proc)
+        counter = self._messages.get(key)
+        if counter is None:
+            counter = self._messages[key] = self.registry.counter(
+                "spec.messages",
+                phase=key[0], label=e.label, array=e.array, proc=e.proc,
+            )
+        counter.value += 1
 
     def _on_dir(self, e: DirTransitionEvent) -> None:
-        self.registry.counter(
-            "dir.transitions", phase=self.phase, node=e.node, to=e.new.value
-        ).inc()
+        key = (self.phase, e.node, e.new._value_)
+        counter = self._transitions.get(key)
+        if counter is None:
+            counter = self._transitions[key] = self.registry.counter(
+                "dir.transitions", phase=key[0], node=e.node, to=key[2]
+            )
+        counter.value += 1
 
     def _on_barrier(self, e: BarrierWaitEvent) -> None:
         self.registry.histogram(

@@ -14,8 +14,9 @@ observer in the spirit of hardware assertion checkers.
 A monitor never changes simulation behavior.  Violations are collected
 as structured :class:`InvariantViolation` records (carrying the
 offending event and a bounded window of recent history) and stamped
-into ``RunResult.violations``; with ``strict=True`` the first violation
-raises immediately, aborting the run loudly.
+into ``RunResult.violations``, and each monitor's count of checked
+events into ``RunResult.monitor_events``; with ``strict=True`` the
+first violation raises immediately, aborting the run loudly.
 
 Arming::
 
@@ -131,8 +132,6 @@ class Monitor:
         self.history: Deque[Event] = collections.deque(maxlen=history)
         self.violations: List[InvariantViolation] = []
         self.strict = strict
-        self.events_seen = 0
-        self._failed = False
         self.reset()
 
     # ------------------------------------------------------------------
@@ -172,6 +171,8 @@ class Monitor:
     def reset(self) -> None:
         """Drop per-run tracking state (new run on the same machine)."""
         self.history.clear()
+        #: events routed to :meth:`check` in the current run
+        self.events_seen = 0
         self._failed = False
 
     def take_violations(self) -> List[InvariantViolation]:
@@ -465,10 +466,22 @@ class CoherenceMonitor(Monitor):
         from ..memsys.directory import legal_transition
 
         self._legal = legal_transition
+        #: verdict per (prev, new, kind) ``_value_`` triple: string keys
+        #: hash in C, where the enum members would hash in Python
+        self._verdicts: Dict[Tuple[str, str, Optional[str]], bool] = {}
         super().__init__(history=history, strict=strict)
 
     def check(self, event: Event) -> None:
-        if not self._legal(event.prev, event.new, event.kind):
+        kind = event.kind
+        key = (
+            event.prev._value_,
+            event.new._value_,
+            kind._value_ if kind is not None else None,
+        )
+        legal = self._verdicts.get(key)
+        if legal is None:
+            legal = self._verdicts[key] = self._legal(event.prev, event.new, kind)
+        if not legal:
             kind = event.kind.name if event.kind is not None else "maintenance"
             self._violate(
                 "legal-transition",
@@ -572,14 +585,15 @@ class MonitorSuite:
     # ------------------------------------------------------------------
     def finalize(self, result, loop=None) -> None:
         """End-of-run hook called by the scenario drivers: run deferred
-        checks, stamp violations, and on a failed speculation build the
-        forensic report."""
+        checks, stamp violations and each monitor's checked-event count,
+        and on a failed speculation build the forensic report."""
         failed = not result.passed
         violations: List[InvariantViolation] = []
         for monitor in self.monitors:
             monitor.finish(failed)
             violations.extend(monitor.take_violations())
         result.violations = violations
+        result.monitor_events = {m.name: m.events_seen for m in self.monitors}
         if failed and loop is not None and result.forensics is None:
             from .forensics import build_report
 

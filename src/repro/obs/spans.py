@@ -13,8 +13,8 @@ called.  The guarantee is pinned the same way as
 ``TestGuardedEmissionSites``: tests booby-trap ``SpanProfiler.begin`` and
 run the full simulator with no profiler installed.
 
-Cross-process capture: :class:`WorkerCapture` bundles a profiler, an
-event bus with a bounded recorder, and a ``MetricsCollector``; a pool
+Cross-process capture: :class:`WorkerCapture` bundles a profiler and a
+:class:`~repro.obs.Telemetry` with a bounded event recorder; a pool
 worker installs one around its task, then ships ``capture.snapshot()``
 (plain picklable dicts) back on the existing result-pickling path.  The
 parent-side :class:`ProfileSession` collects those snapshots and merges
@@ -31,9 +31,9 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence
 
-from .bus import EventBus, EventRecorder
 from .export import chrome_trace
-from .metrics import MetricsCollector, MetricsRegistry
+from .metrics import MetricsRegistry
+from .telemetry import Telemetry
 
 __all__ = [
     "SpanProfiler",
@@ -205,12 +205,13 @@ def capture_current() -> Optional["WorkerCapture"]:
 class WorkerCapture:
     """Everything one pool worker records around one task.
 
-    Bundles a :class:`SpanProfiler`, an :class:`EventBus` with a bounded
-    :class:`EventRecorder`, and a :class:`MetricsCollector`.  The run
-    driver attaches the capture bus to machines built while the capture
-    is installed — but only when the run's own ``config.telemetry`` is
-    unset, so explicit telemetry always wins.  ``snapshot()`` is plain
-    picklable data and rides back to the parent with the task result.
+    Bundles a :class:`SpanProfiler` and a :class:`~repro.obs.Telemetry`
+    whose event recorder keeps a bounded sample.  The run driver
+    attaches the capture's telemetry to machines built while the
+    capture is installed — but only when the run's own
+    ``config.telemetry`` is unset, so explicit telemetry always wins.
+    ``snapshot()`` is plain picklable data and rides back to the parent
+    with the task result.
     """
 
     #: bounded obs-event sample per task (BoundedLog drops oldest half)
@@ -219,11 +220,7 @@ class WorkerCapture:
     def __init__(self, label: str = "") -> None:
         self.label = label
         self.profiler = SpanProfiler(track=f"task:{label}" if label else "task")
-        self.bus = EventBus()
-        self.recorder = EventRecorder(capacity=self.EVENT_CAPACITY)
-        self.recorder.subscribe(self.bus)
-        self.collector = MetricsCollector()
-        self.collector.subscribe(self.bus)
+        self.telemetry = Telemetry(capacity=self.EVENT_CAPACITY)
         self._root: Optional[Dict[str, Any]] = None
 
     def install(self) -> "WorkerCapture":
@@ -247,13 +244,13 @@ class WorkerCapture:
 
     def attach(self, machine) -> None:
         """Duck-typed like Telemetry.attach; called by the run driver."""
-        machine.attach_bus(self.bus)
-        self.collector.space = machine.space
+        self.telemetry.attach(machine)
 
     def snapshot(self) -> Dict[str, Any]:
+        events = self.telemetry.events
         trace_events = [
             ev
-            for ev in chrome_trace(self.recorder)["traceEvents"]
+            for ev in chrome_trace(events)["traceEvents"]
             # B/E pairs from separate runs would interleave after the
             # wall-clock rescale; keep complete slices and instants only.
             if ev.get("ph") in ("X", "i")
@@ -262,10 +259,10 @@ class WorkerCapture:
             "label": self.label,
             "pid": os.getpid(),
             "profile": self.profiler.snapshot(),
-            "metrics": self.collector.registry.snapshot(),
+            "metrics": self.telemetry.registry.snapshot(),
             "trace_events": trace_events,
-            "events_recorded": len(self.recorder),
-            "events_dropped": self.recorder.dropped,
+            "events_recorded": len(events),
+            "events_dropped": events.dropped,
         }
 
 

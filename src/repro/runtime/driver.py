@@ -189,6 +189,9 @@ class RunResult:
     #: abort root-cause report (``repro.obs.forensics.ForensicReport``),
     #: built when monitors were armed and the speculation failed
     forensics: Optional[object] = None
+    #: events each armed monitor checked during the run, by monitor
+    #: name; None when no monitors
+    monitor_events: Optional[Dict[str, int]] = None
 
     @property
     def speedup_base(self) -> float:
@@ -370,7 +373,7 @@ def _ambient_bus(config: "Optional[RunConfig]"):
     if bus is None:
         capture = spans.capture_current()
         if capture is not None:
-            bus = capture.bus
+            bus = capture.telemetry.bus
     return bus
 
 

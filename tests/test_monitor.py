@@ -285,3 +285,63 @@ class TestNullPath:
         assert bus.wants_spec
         monitor.unsubscribe(bus)
         assert not bus.wants_spec
+
+
+class TestCoverage:
+    """Each run reports how many events its monitors actually checked."""
+
+    LOOP = parallel_nonpriv_loop("mon-coverage", elements=256, iterations=24)
+
+    def test_result_carries_per_run_counts(self):
+        suite = MonitorSuite()
+        config = RunConfig(monitors=suite)
+        first = run_hw(self.LOOP, PARAMS, config)
+        second = run_hw(self.LOOP, PARAMS, config)
+        fresh = run_hw(self.LOOP, PARAMS, RunConfig(monitors=MonitorSuite()))
+        assert set(first.monitor_events) == {
+            "nonpriv", "priv", "priv-simple", "coherence"
+        }
+        assert first.monitor_events["nonpriv"] > 0
+        assert first.monitor_events["coherence"] > 0
+        # Counted per run, not since the suite was built.
+        assert second.monitor_events == first.monitor_events
+        assert fresh.monitor_events == first.monitor_events
+        assert suite.monitors[0].events_seen == first.monitor_events["nonpriv"]
+
+    def test_unmonitored_run_has_no_counts(self):
+        assert run_hw(self.LOOP, PARAMS).monitor_events is None
+
+    def test_counts_round_trip_and_stay_out_of_signatures(self):
+        import json
+
+        from repro.experiments.serialize import (
+            run_result_from_dict,
+            run_result_to_dict,
+        )
+        from repro.testing.diffcheck import result_signature
+
+        monitored = run_hw(self.LOOP, PARAMS, RunConfig(monitors=MonitorSuite()))
+        bare = run_hw(self.LOOP, PARAMS)
+        doc = json.loads(json.dumps(run_result_to_dict(monitored)))
+        assert run_result_from_dict(doc).monitor_events == monitored.monitor_events
+        del doc["monitor_events"]  # a record written before the field existed
+        assert run_result_from_dict(doc).monitor_events is None
+        assert "monitor_events" not in run_result_to_dict(bare)
+        assert result_signature(monitored) == result_signature(bare)
+        assert "monitor_events" not in monitored.provenance.as_dict()
+
+    def test_doctor_flags_monitors_that_saw_nothing(self, monkeypatch):
+        from repro.experiments.doctor import run_doctor
+        from repro.obs.monitor import Monitor
+        from repro.obs.events import FailureEvent, RunStartEvent
+
+        def blind_subscribe(self, bus):
+            # Lifecycle events only: nothing is routed to check().
+            bus.subscribe(RunStartEvent, self._on_run_start)
+            bus.subscribe(FailureEvent, self._on_failure)
+            return self
+
+        monkeypatch.setattr(Monitor, "subscribe", blind_subscribe)
+        report = run_doctor(iterations=8, num_processors=2)
+        assert "doctor: OK" not in report
+        assert "doctor-nonpriv: the monitors checked zero events" in report
