@@ -14,7 +14,7 @@ import sys
 import time
 from typing import Callable, Dict, List
 
-from . import bench, charts, claims, doctor, figures, report, serialize, tracerun
+from . import charts, claims, doctor, figures, report, serialize, tracerun
 from . import profile as profilerun
 
 EXPERIMENTS: Dict[str, Callable[[argparse.Namespace], str]] = {}
@@ -95,15 +95,6 @@ def _table2(args) -> str:
 @_register("doctor")
 def _doctor(args) -> str:
     return doctor.run_doctor(num_processors=args.doctor_processors)
-
-
-@_register("bench")
-def _bench(args) -> str:
-    session = _profile_session(args, "bench")
-    text = bench.run_bench(out=args.bench_out, reps=args.bench_reps,
-                           jobs=args.jobs, profile=session,
-                           ledger=_ledger(args))
-    return _with_profile(args, session, text)
 
 
 def _ledger(args):
@@ -234,7 +225,7 @@ def main(argv: "List[str] | None" = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "ledger":
         # The ledger verb family has its own subcommand grammar
-        # (list/show/diff/import/trend/regressions); dispatch before the
+        # (list/show/diff/import/trend); dispatch before the
         # experiments parser sees it.
         from . import ledgercli
 
@@ -255,7 +246,7 @@ def main(argv: "List[str] | None" = None) -> int:
         nargs="+",
         choices=sorted(EXPERIMENTS) + ["all"],
         help="which tables/figures to regenerate (plus the 'ledger' "
-        "verb family: ledger list/show/diff/import/trend/regressions; "
+        "verb family: ledger list/show/diff/import/trend; "
         "and 'modelcheck' for exhaustive protocol model checking)",
     )
     parser.add_argument(
@@ -289,22 +280,14 @@ def main(argv: "List[str] | None" = None) -> int:
         help="doctor: processor count for the monitored self-check runs",
     )
     parser.add_argument(
-        "--bench-out", default="BENCH_PR10.json",
-        help="bench: output path for the throughput JSON",
-    )
-    parser.add_argument(
-        "--bench-reps", type=int, default=7,
-        help="bench: repetitions per instrumentation level (best-of)",
-    )
-    parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for sweep/bench/diffsweep/profile (0 = "
+        help="worker processes for sweep/diffsweep/profile (0 = "
         "one per core); results are identical to --jobs 1",
     )
     parser.add_argument(
         "--profile-out", default=None,
         help="write a merged multi-process Chrome trace (spans + "
-        "rollup JSON next to it) for profile/sweep/bench/diffsweep/"
+        "rollup JSON next to it) for profile/sweep/diffsweep/"
         "trace; the profile verb defaults to repro-profile.json",
     )
     parser.add_argument(
@@ -330,21 +313,20 @@ def main(argv: "List[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--ledger-dir", default=None,
-        help="archive bench/sweep/diffsweep results (and serve identical "
+        help="archive sweep/diffsweep results (and serve identical "
         "re-runs) from the run ledger rooted here; query it with the "
         "'ledger' verb family",
     )
     args = parser.parse_args(argv)
 
-    # "all" regenerates every table/figure; trace, bench and profile
-    # (which write files), doctor (a self-check, not an evaluation
+    # "all" regenerates every table/figure; trace and profile (which
+    # write files), doctor (a self-check, not an evaluation
     # result) and the parameterized explorations (sweep, diffsweep)
     # stay explicit-only.
     chosen = (
         sorted(
             n for n in EXPERIMENTS
-            if n not in ("trace", "doctor", "bench", "sweep", "diffsweep",
-                         "profile")
+            if n not in ("trace", "doctor", "sweep", "diffsweep", "profile")
         )
         if "all" in args.experiments
         else args.experiments

@@ -7,13 +7,12 @@
     python -m repro.experiments ledger diff <key-a> <key-b>
     python -m repro.experiments ledger import BENCH_PR3.json BENCH_PR4.json ...
     python -m repro.experiments ledger trend
-    python -m repro.experiments ledger regressions [--window 5]
 
 ``trend`` reconstructs the per-engine bare-loop throughput timeline
-from the archived bench records (seed the history by ``import``-ing the
-committed ``BENCH_PR*.json`` snapshots); ``regressions`` generalizes
-:mod:`repro.experiments.benchdiff` from a one-pair compare to the
-newest record against the median of the previous N.
+from the archived bench records; seed the history by ``import``-ing the
+committed ``BENCH_PR*.json`` snapshots.  Host throughput today is
+measured end to end by ``perfbench/`` (see ``perfbench/README.md``);
+the snapshots are the history from before it.
 """
 
 from __future__ import annotations
@@ -24,13 +23,7 @@ import os
 import sys
 from typing import List, Optional
 
-from ..obs.ledger import (
-    LEDGER_DIR,
-    RunLedger,
-    bench_bare_series,
-    median_bench_baseline,
-)
-from . import benchdiff
+from ..obs.ledger import LEDGER_DIR, RunLedger, bench_bare_series
 
 ENGINE_ORDER = ("scalar", "batch", "vector")
 
@@ -144,31 +137,6 @@ def _cmd_trend(ledger: RunLedger, args) -> int:
     return 0
 
 
-def _cmd_regressions(ledger: RunLedger, args) -> int:
-    history = ledger.bench_history()
-    if len(history) < 2:
-        print("ledger regressions: need at least 2 bench records")
-        return 0
-    window = history[-(args.window + 1):-1]
-    newest = history[-1]
-    baseline = median_bench_baseline(window)
-    report, regressions = benchdiff.compare(
-        baseline, newest["bench"], args.threshold
-    )
-    print(
-        f"ledger regressions: {newest['label'] or newest['key'][:12]} vs "
-        f"median of previous {len(window)} record(s), "
-        f"threshold {args.threshold:.0f}%"
-    )
-    for line in report:
-        print(line)
-    for regression in regressions:
-        print(f"::warning::bench regression: {regression}")
-    if not regressions:
-        print(f"no cell slowed by more than {args.threshold:.0f}%")
-    return 1 if (args.strict and regressions) else 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments ledger",
@@ -205,18 +173,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p = sub.add_parser("trend",
                        help="per-engine iters/s timeline from bench records")
     p.set_defaults(fn=_cmd_trend)
-
-    p = sub.add_parser(
-        "regressions",
-        help="newest bench record vs the median of the previous N",
-    )
-    p.add_argument("--window", type=int, default=5,
-                   help="number of prior records in the median baseline")
-    p.add_argument("--threshold", type=float, default=15.0,
-                   help="warn when a cell slows by more than this pct")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 1 on regressions instead of only warning")
-    p.set_defaults(fn=_cmd_regressions)
 
     args = parser.parse_args(argv)
     try:

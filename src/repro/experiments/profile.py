@@ -11,7 +11,7 @@ enabled, then writes:
   utilization, per-tier phase breakdown),
 
 and prints the rollup as text.  The same capture machinery is available
-on ``sweep`` / ``bench`` / ``diffsweep`` / ``trace`` via
+on ``sweep`` / ``diffsweep`` / ``trace`` via
 ``--profile-out``.
 """
 

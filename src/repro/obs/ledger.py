@@ -4,10 +4,10 @@ Every :class:`~repro.runtime.driver.RunResult` already carries a
 SHA-256 provenance manifest (:mod:`repro.obs.provenance`), but results
 evaporate when the process exits.  The :class:`RunLedger` keeps them:
 an on-disk, content-addressed store recording what was simulated, what
-verdict it produced, and how fast it ran — the regression timeline for
-the ``repro ledger`` CLI (``list`` / ``show`` / ``diff`` / ``trend`` /
-``regressions``) and the cache behind ``RunConfig(ledger=...)``, which
-serves an identical re-run bit-identically from the archive instead of
+verdict it produced, and how fast it ran — the timeline for the
+``repro ledger`` CLI (``list`` / ``show`` / ``diff`` / ``import`` /
+``trend``) and the cache behind ``RunConfig(ledger=...)``, which serves
+an identical re-run bit-identically from the archive instead of
 re-simulating it.
 
 Layout (all under one root directory)::
@@ -29,14 +29,18 @@ Write discipline: records land via temp-file + ``os.replace`` (readers
 never see partial JSON) and the existence-check → record write → index
 append sequence runs under an ``fcntl`` advisory lock, so pooled
 workers (``--jobs 4``) can append to one ledger concurrently without
-torn index lines or duplicate entries.  A :class:`RunLedger` instance
-is stateless (root path + flags, no open handles), so it pickles into
-pool tasks unchanged.
+torn index lines or duplicate entries.  Because a record is only ever
+replaced whole, a run commit first looks for an intact record without
+the lock; re-committing an archived run then costs one read, with no
+result serialization and no lock.  A :class:`RunLedger` instance is
+stateless (root path + flags, no open handles), so it pickles into pool
+tasks unchanged.
 
-Reads fail open: a record or index line that does not decode, or a
-record stored under another key, is treated as absent and reported
-with a :class:`LedgerWarning`; it never fails a run.  The next write
-under that key replaces such a record, so the corruption heals.
+Reads fail open: a record or index line that does not decode, a
+record stored under another key, or a run record whose result does not
+deserialize, is treated as absent and reported with a
+:class:`LedgerWarning`; it never fails a run.  The next write under
+that key replaces such a record, so the corruption heals.
 
 :class:`ResultStore` is the same serve/record protocol held in memory
 for one process.  The figure layer passes one to every run it makes,
@@ -80,7 +84,6 @@ __all__ = [
     "loop_fingerprint_doc",
     "span_rollup",
     "bench_bare_series",
-    "median_bench_baseline",
 ]
 
 #: default archive location (relative to the working directory);
@@ -222,9 +225,9 @@ def span_rollup(spans: List[Dict[str, Any]], run_sid: int) -> Dict[str, Any]:
 class RunLedger:
     """Handle on one on-disk ledger directory.
 
-    Stateless by design — the instance is just the root path plus
-    flags, so it can ride inside a frozen ``RunConfig`` through pickled
-    pool tasks.  All I/O happens per call.
+    The instance is the root path plus flags, and a memo of the
+    records it found intact; it rides inside a frozen ``RunConfig``
+    through pickled pool tasks.  All I/O happens per call.
     """
 
     root: str = LEDGER_DIR
@@ -232,6 +235,12 @@ class RunLedger:
     #: turn off to keep recording while always re-simulating (how the
     #: write-path overhead gate measures the genuine cost)
     serve_hits: bool = True
+    #: record path -> ``(inode, size, mtime_ns)`` when last found
+    #: intact.  A record is only rewritten via ``os.replace`` (new
+    #: inode) or edited in place (new size or mtime), so an unchanged
+    #: signature means an unchanged, still intact record.
+    _intact_stat: Dict[str, Tuple[int, int, int]] = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     # -- paths ----------------------------------------------------------
     @property
@@ -255,18 +264,41 @@ class RunLedger:
                 fcntl.flock(lock, fcntl.LOCK_UN)
 
     # -- generic write ---------------------------------------------------
+    def _intact(self, key: str, kind: str) -> bool:
+        """Whether an intact ``kind`` record already holds ``key``: it
+        decodes, names ``key`` and its kind and, for a run, its result
+        deserializes.  Safe without the lock, as records are replaced
+        atomically; a record found intact before and unchanged since
+        costs one ``os.stat``."""
+        path = self.record_path(key)
+        try:
+            st = os.stat(path)
+        except OSError:
+            return False
+        stat = (st.st_ino, st.st_size, st.st_mtime_ns)
+        if self._intact_stat.get(path) == stat:
+            return True
+        record = self._read(key)[0]
+        intact = (
+            record is not None and record.get("kind") == kind
+            and (kind != "run" or _run_result(record)[0] is not None)
+        )
+        if intact:
+            self._intact_stat[path] = stat
+        return intact
+
     def _write(self, key: str, kind: str, doc: Dict[str, Any],
                summary: Dict[str, Any]) -> bool:
         """Archive one record atomically; returns whether it was a
         dedupe (an intact record already holds the content address).
 
-        A record :meth:`lookup` rejects is overwritten with the fresh
-        one — the corruption heals on the next miss — without a second
-        index line (the index already names the key)."""
+        A record that is not intact (see :meth:`_intact`) is overwritten
+        with the fresh one — the corruption heals on the next miss —
+        without a second index line (the index already names the key)."""
         path = self.record_path(key)
         with self._locked():
             exists = os.path.exists(path)
-            if exists and self._read(key)[0] is not None:
+            if exists and self._intact(key, kind):
                 return True
             os.makedirs(os.path.dirname(path), exist_ok=True)
             record = {"key": key, "kind": kind, "schema": 1, **doc}
@@ -310,6 +342,8 @@ class RunLedger:
         if key is None:
             key = ledger_key(result.scenario, loop, params, config,
                              provenance=getattr(result, "provenance", None))
+        if self._intact(key, "run"):
+            return key, True
         doc = {
             "result": run_result_to_dict(result),
             "host_wall_s": (
@@ -332,15 +366,8 @@ class RunLedger:
         """Archive one throughput-bench document (a new history point
         per fresh measurement; identical snapshots deduplicate)."""
         key = fingerprint({"kind": "bench", "doc": doc})
-        bare = {}
-        engines = doc.get("engines")
-        if isinstance(engines, dict):
-            for engine, levels in engines.items():
-                cell = levels.get("bare") or {}
-                if "iters_per_s" in cell:
-                    bare[engine] = round(float(cell["iters_per_s"]), 1)
-        elif "bare" in doc and "iters_per_s" in doc["bare"]:
-            bare["scalar"] = round(float(doc["bare"]["iters_per_s"]), 1)
+        bare = {engine: round(rate, 1)
+                for engine, rate in _bare_iters_per_s(doc).items()}
         summary = {"label": label, "bare_iters_per_s": bare}
         deduped = self._write(key, "bench", {"label": label, "bench": doc},
                               summary)
@@ -401,15 +428,12 @@ class RunLedger:
         record = self.lookup(key)
         if record is None or record.get("kind") != "run":
             return None
-        from ..experiments.serialize import run_result_from_dict
-
-        try:
-            return run_result_from_dict(record["result"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        result, problem = _run_result(record)
+        if problem is not None:
             warnings.warn(f"ledger record {key[:12]} does not deserialize "
-                          f"({exc!r}); treated as a miss", LedgerWarning,
+                          f"({problem}); treated as a miss", LedgerWarning,
                           stacklevel=2)
-            return None
+        return result
 
     def records(self, kind: Optional[str] = None) -> Iterator[Dict[str, Any]]:
         """Index lines in write order (the timeline), oldest first.
@@ -531,49 +555,43 @@ def as_ledger(value):
     return RunLedger(root=os.fspath(value))
 
 
+def _run_result(record: Dict[str, Any]) -> Tuple[Any, Optional[str]]:
+    """``(result, problem)``: the ``RunResult`` a run record holds, or
+    None with the repr of why its result does not deserialize."""
+    from ..experiments.serialize import run_result_from_dict
+
+    try:
+        return run_result_from_dict(record["result"]), None
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return None, repr(exc)
+
+
 # ----------------------------------------------------------------------
-# bench-history analysis (trend / regressions / --from-ledger)
+# bench history (the committed BENCH_PR*.json snapshots)
 # ----------------------------------------------------------------------
+def _bare_iters_per_s(doc: Dict[str, Any]) -> Dict[str, float]:
+    """``{engine: bare iters/s}`` of one bench document, in either
+    shape: the engine matrix (``engines.<engine>.bare``) or the flat
+    PR3-era document, whose top-level ``bare`` cell is the scalar one."""
+    engines = doc.get("engines")
+    if isinstance(engines, dict):
+        return {
+            engine: float(levels["bare"]["iters_per_s"])
+            for engine, levels in engines.items()
+            if "iters_per_s" in (levels.get("bare") or {})
+        }
+    if "iters_per_s" in doc.get("bare", {}):
+        return {"scalar": float(doc["bare"]["iters_per_s"])}
+    return {}
+
+
 def bench_bare_series(
     history: List[Dict[str, Any]],
 ) -> List[Tuple[str, Dict[str, float]]]:
     """``(label, {engine: bare iters/s})`` per archived bench document,
     oldest first — the throughput trajectory across PRs."""
-    series: List[Tuple[str, Dict[str, float]]] = []
-    for item in history:
-        doc = item["bench"]
-        bare: Dict[str, float] = {}
-        engines = doc.get("engines")
-        if isinstance(engines, dict):
-            for engine, levels in engines.items():
-                cell = levels.get("bare") or {}
-                if "iters_per_s" in cell:
-                    bare[engine] = float(cell["iters_per_s"])
-        elif "bare" in doc and "iters_per_s" in doc.get("bare", {}):
-            bare["scalar"] = float(doc["bare"]["iters_per_s"])
-        series.append((item.get("label") or item["key"][:12], bare))
-    return series
-
-
-def median_bench_baseline(history: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Synthesize a matrix-shape bench baseline whose per-cell ``best_s``
-    is the median over ``history`` — the ``--from-ledger N`` baseline
-    for :mod:`repro.experiments.benchdiff`."""
-    from statistics import median
-
-    from ..experiments.benchdiff import _cells
-
-    samples: Dict[Tuple[str, str], List[float]] = {}
-    for item in history:
-        for cell, best_s in _cells(item["bench"]).items():
-            samples.setdefault(cell, []).append(best_s)
-    engines: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for (engine, level), values in samples.items():
-        engines.setdefault(engine, {})[level] = {
-            "best_s": float(median(values))
-        }
-    return {
-        "benchmark": "simulator-throughput",
-        "source": f"ledger median over {len(history)} records",
-        "engines": engines,
-    }
+    return [
+        (item.get("label") or item["key"][:12],
+         _bare_iters_per_s(item["bench"]))
+        for item in history
+    ]

@@ -193,45 +193,15 @@ class TestCLI:
         assert "doctor: OK" in out
         assert "forensic report" in out  # at least one abort was explained
 
-    def test_cli_bench_smoke(self, tmp_path, capsys):
-        import json
-
+    def test_cli_bench_smoke(self, capsys):
+        # The synthetic ``bench`` verb is gone (perfbench measures host
+        # throughput end to end); asking for it is a usage error.
         from repro.experiments.cli import main
 
-        out_path = tmp_path / "BENCH_PR10.json"
-        assert main(["bench", "--bench-out", str(out_path),
-                     "--bench-reps", "1"]) == 0
-        doc = json.loads(out_path.read_text())
-        assert doc["benchmark"] == "simulator-throughput"
-        assert doc["bare"]["iters_per_s"] > 0
-        assert "overhead_pct" in doc["telemetry"]
-        assert "overhead_pct" in doc["monitors"]
-        assert doc["provenance"]["config_hash"]
-        # The engine matrix covers both tiers at every level; the
-        # vector tier delegates failing and dynamic runs to scalar, so
-        # there are no scenario rows.
-        assert set(doc["engines"]) == {"scalar", "vector"}
-        for levels in doc["engines"].values():
-            assert set(levels) == {"bare", "telemetry", "monitors"}
-            assert levels["bare"]["iters_per_s"] > 0
-        # Top level mirrors the scalar engine (PR3-era shape).
-        assert doc["bare"] == doc["engines"]["scalar"]["bare"]
-        out = capsys.readouterr().out
-        assert "wrote" in out and "bare speedup: vector/scalar" in out
-        assert "fail" not in out and "dynamic" not in out
-
-    def test_cli_bench_parallel_cells(self, tmp_path, capsys):
-        import json
-
-        from repro.experiments.cli import main
-
-        out_path = tmp_path / "bench_jobs.json"
-        assert main(["bench", "--bench-out", str(out_path),
-                     "--bench-reps", "1", "--jobs", "2"]) == 0
-        doc = json.loads(out_path.read_text())
-        assert set(doc["engines"]) == {"scalar", "vector"}
-        for levels in doc["engines"].values():
-            assert levels["bare"]["iters_per_s"] > 0
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_cli_sweep_smoke(self, capsys):
         from repro.experiments.cli import main
@@ -251,11 +221,13 @@ class TestCLI:
 
     def test_cli_sweep_diffsweep_not_in_all(self):
         # "all" regenerates tables/figures only; the parameterized
-        # exploration verbs must stay explicit-only.
+        # exploration verbs must stay explicit-only.  ``bench`` is not
+        # a verb at all.
         import repro.experiments.cli as cli
 
-        assert {"sweep", "diffsweep", "bench", "trace", "doctor",
+        assert {"sweep", "diffsweep", "trace", "doctor",
                 "profile"} <= set(cli.EXPERIMENTS)
+        assert "bench" not in cli.EXPERIMENTS
 
     def test_cli_profile_smoke(self, tmp_path, capsys):
         import json
@@ -296,97 +268,6 @@ class TestCLI:
         assert (tmp_path / "sweep-prof-rollup.json").exists()
         out = capsys.readouterr().out
         assert "sweep: num_processors" in out and "wrote" in out
-
-
-class TestBenchDiff:
-    @staticmethod
-    def _doc(scalar_bare, batch_bare, factor=1.5):
-        def cell(s):
-            return {"best_s": s, "iters_per_s": 48 / s}
-
-        def over(s):
-            return {"best_s": s, "overhead_pct": 0.0}
-
-        return {
-            "engines": {
-                "scalar": {"bare": cell(scalar_bare),
-                           "telemetry": over(scalar_bare * factor),
-                           "monitors": over(scalar_bare * factor)},
-                "batch": {"bare": cell(batch_bare),
-                          "telemetry": over(batch_bare * factor),
-                          "monitors": over(batch_bare * factor)},
-            }
-        }
-
-    def test_no_regression_exits_zero(self, tmp_path, capsys):
-        import json
-
-        from repro.experiments.benchdiff import main
-
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        base.write_text(json.dumps(self._doc(0.020, 0.014)))
-        cur.write_text(json.dumps(self._doc(0.021, 0.015)))  # 5%: fine
-        assert main([str(base), str(cur)]) == 0
-        out = capsys.readouterr().out
-        assert "::warning::" not in out
-        assert "no cell slowed" in out
-
-    def test_regression_warns_but_does_not_gate(self, tmp_path, capsys):
-        import json
-
-        from repro.experiments.benchdiff import main
-
-        base = tmp_path / "base.json"
-        cur = tmp_path / "cur.json"
-        base.write_text(json.dumps(self._doc(0.020, 0.014)))
-        cur.write_text(json.dumps(self._doc(0.020, 0.020)))  # batch +43%
-        assert main([str(base), str(cur), "--threshold", "15"]) == 0
-        out = capsys.readouterr().out
-        assert "::warning::bench regression: batch/bare" in out
-        assert main([str(base), str(cur), "--strict"]) == 1
-
-    def test_understands_flat_pr3_shape(self, tmp_path):
-        import json
-
-        from repro.experiments.benchdiff import compare
-
-        flat = {"bare": {"best_s": 0.030},
-                "telemetry": {"best_s": 0.050},
-                "monitors": {"best_s": 0.042}}
-        report, regressions = compare(flat, self._doc(0.020, 0.014))
-        assert not regressions  # everything got faster
-        assert any("only in current" in line for line in report)
-
-    def test_vanished_batch_cells_are_one_sided(self):
-        """Diffing the committed BENCH_PR10.json against today's bench
-        layout — no batch column and no scenario rows — reports the
-        vanished cells as one-sided, never as regressions; a cell only
-        in the current document is not compared across engines."""
-        import copy
-        import json
-        from pathlib import Path
-
-        from repro.experiments.benchdiff import compare
-
-        root = Path(__file__).resolve().parent.parent
-        baseline = json.loads((root / "BENCH_PR10.json").read_text())
-        current = copy.deepcopy(baseline)
-        engines = current["engines"]
-        for name in ("batch", "batch-fail", "vector-fail", "batch-dynamic",
-                     "vector-dynamic"):
-            del engines[name]
-        # A scalar row 10x slower than the vanished batch one: a
-        # one-sided cell must not be compared across engines.
-        row = baseline["engines"]["batch-fail"]["bare"]
-        engines["scalar-fail"] = {"bare": {"best_s": row["best_s"] * 10}}
-        report, regressions = compare(baseline, current)
-        assert regressions == []
-        for name in ("batch/bare", "batch/telemetry", "batch/monitors",
-                     "batch-fail/bare", "vector-fail/bare",
-                     "batch-dynamic/bare", "vector-dynamic/bare"):
-            assert f"  {name}: only in baseline document" in report
-        assert "  scalar-fail/bare: only in current document" in report
 
 
 class TestCharts:

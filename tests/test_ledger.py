@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import benchdiff, ledgercli
+from repro.experiments import ledgercli
 from repro.experiments.pool import PoolTask, run_tasks
 from repro.experiments.serialize import run_result_from_dict, run_result_to_dict
 from repro.obs import RunLedger, Telemetry, as_ledger, ledger_key
-from repro.obs.ledger import LedgerWarning
+from repro.obs.ledger import LedgerWarning, bench_bare_series
 from repro.obs.events import LedgerHitEvent, LedgerWriteEvent, RunStartEvent
 from repro.params import small_test_params
 from repro.runtime.driver import RunConfig, run_hw, run_ideal, run_serial, run_sw
@@ -398,6 +398,36 @@ class TestFailOpen:
             again = run_hw(_loop(), params, config)
         assert result_signature(again) == result_signature(first)
 
+    def test_undeserializable_result_heals_on_the_next_miss(self, tmp_path):
+        """An intact JSON record whose result does not deserialize is
+        rewritten by the run that misses on it, so the warning does not
+        come back on every later run."""
+        ledger, params, config, first, key = self._archive_one(tmp_path)
+        record = ledger.lookup(key)
+        record["result"]["scenario"] = "bogus"
+        with open(ledger.record_path(key), "w") as fh:
+            json.dump(record, fh)
+        t = Telemetry()
+        with pytest.warns(LedgerWarning, match="does not deserialize") as caught:
+            again = run_hw(_loop(), params,
+                           dataclasses.replace(config, telemetry=t))
+        assert len(caught) == 1
+        assert [e for e in t.events if isinstance(e, RunStartEvent)]
+        (write,) = [e for e in t.events if isinstance(e, LedgerWriteEvent)]
+        assert write.key == key and not write.deduped
+        assert ledger.lookup(key)["result"]["scenario"] == "HW"
+        # The rewritten record serves the repeat, with no warning.
+        t = Telemetry()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LedgerWarning)
+            served = run_hw(_loop(), params,
+                            dataclasses.replace(config, telemetry=t))
+        assert [e for e in t.events if isinstance(e, LedgerHitEvent)]
+        assert not [e for e in t.events if isinstance(e, RunStartEvent)]
+        assert result_signature(served) == result_signature(again)
+        assert result_signature(served) == result_signature(first)
+        assert [e["key"] for e in ledger.records()] == [key]
+
     def test_garbage_index_lines_are_skipped_and_counted(self, tmp_path, capsys):
         ledger, params, config, first, key = self._archive_one(tmp_path)
         with open(ledger.index_path, "a") as fh:
@@ -470,7 +500,7 @@ class TestConcurrentAppend:
 
 
 # ----------------------------------------------------------------------
-# bench history: import / trend / regressions / --from-ledger
+# bench history: import / trend
 # ----------------------------------------------------------------------
 def _seed_history(root):
     argv = ["--ledger-dir", str(root), "import"]
@@ -503,8 +533,9 @@ class TestBenchHistory:
         assert "1,563 ->" in out
 
     def test_regressions_window(self, tmp_path, capsys):
+        # ``ledger regressions`` is gone with the synthetic bench it
+        # compared; a window of bench records reads through ``trend``.
         ledger = RunLedger(str(tmp_path))
-        # Synthetic history: stable 10ms cells, newest run 20% slower.
         cell = lambda s: {"bare": {"best_s": s, "iters_per_s": 48 / s}}
         for i, best in enumerate((0.010, 0.010, 0.010, 0.012)):
             ledger.record_bench(
@@ -512,45 +543,38 @@ class TestBenchHistory:
                  "engines": {"scalar": cell(best)}},
                 label=f"point-{i}",
             )
-        rc = ledgercli.main(
-            ["--ledger-dir", str(tmp_path), "regressions",
-             "--window", "3", "--threshold", "15", "--strict"]
-        )
+        with pytest.raises(SystemExit) as exc:
+            ledgercli.main(["--ledger-dir", str(tmp_path), "regressions",
+                            "--window", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'regressions'" in capsys.readouterr().err
+        assert ledgercli.main(["--ledger-dir", str(tmp_path), "trend"]) == 0
         out = capsys.readouterr().out
-        assert rc == 1
-        assert "scalar/bare slowed +20.0%" in out
+        lines = [l for l in out.splitlines() if "point-" in l]
+        assert [l.split()[0] for l in lines] == [
+            "point-0", "point-1", "point-2", "point-3"]
+        assert "scalar 4,800" in lines[0] and "scalar 4,000" in lines[3]
 
-    def test_benchdiff_from_ledger_median(self, tmp_path, capsys):
+    def test_import_summary_matches_bare_series(self, tmp_path):
+        """``ledger import`` archives each BENCH document whole, and its
+        index summary is the ``bench_bare_series`` row rounded to 0.1 —
+        both read the bare cells through one helper, in either the flat
+        PR3 shape or the engine-matrix shape."""
+        _seed_history(tmp_path)
         ledger = RunLedger(str(tmp_path))
-        for i, best in enumerate((0.010, 0.020, 0.030)):
-            ledger.record_bench(
-                {"benchmark": "simulator-throughput", "seq": i,
-                 "engines": {"scalar": {"bare": {"best_s": best}}}},
-                label=f"p{i}",
-            )
-        current = tmp_path / "now.json"
-        current.write_text(json.dumps(
-            {"engines": {"scalar": {"bare": {"best_s": 0.020}}}}
-        ))
-        rc = benchdiff.main(
-            [str(current), "--from-ledger", "3",
-             "--ledger-dir", str(tmp_path), "--strict"]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0  # current == median(10, 20, 30)ms == 20ms
-        assert "+0.0%" in out
-
-    def test_run_bench_archives(self, tmp_path):
-        from repro.experiments.bench import run_bench
-
-        ledger = RunLedger(str(tmp_path))
-        out = tmp_path / "bench.json"
-        text = run_bench(out=str(out), reps=1, ledger=ledger)
-        assert "archived as ledger record" in text
-        (entry,) = ledger.records(kind="bench")
-        doc = ledger.lookup(entry["key"])["bench"]
-        assert doc == json.loads(out.read_text())
-        assert set(entry["bare_iters_per_s"]) == {"scalar", "vector"}
+        entries = list(ledger.records(kind="bench"))
+        series = bench_bare_series(ledger.bench_history())
+        assert [e["label"] for e in entries] == BENCH_SNAPSHOTS
+        for name, entry, (label, bare) in zip(BENCH_SNAPSHOTS, entries,
+                                              series):
+            doc = json.loads((REPO_ROOT / name).read_text())
+            assert ledger.lookup(entry["key"])["bench"] == doc
+            assert label == name
+            assert entry["bare_iters_per_s"] == {
+                engine: round(rate, 1) for engine, rate in bare.items()
+            }
+        assert set(series[0][1]) == {"scalar"}  # flat PR3 shape
+        assert set(series[3][1]) >= {"scalar", "batch", "vector"}
 
 
 # ----------------------------------------------------------------------
